@@ -47,6 +47,7 @@ fn bench_ledger(c: &mut Criterion) {
                 SimTime::from_secs(10),
                 SimDuration::from_millis(25),
                 black_box(amt),
+                None,
             )
         });
     });
@@ -81,6 +82,7 @@ fn bench_ledger(c: &mut Criterion) {
                     horizon,
                     SimDuration::from_millis(25),
                     black_box(amt),
+                    None,
                 )
             });
         });
@@ -152,7 +154,6 @@ fn bench_scheduling(c: &mut Criterion) {
     g.bench_function("plan_compose_post_100m", |b| {
         let mut cluster = Cluster::paper_default();
         let mut cursor = 0usize;
-        let mut fit = mlp_sched::placement::FitCursor::new();
         let req = RequestInfo {
             id: RequestId(0),
             rtype: catalog.request_by_name("compose-post").unwrap().id,
@@ -169,9 +170,8 @@ fn bench_scheduling(c: &mut Criterion) {
                 metrics: &metrics,
                 audit: &audit,
             };
-            let plan =
-                mlp_sched::placement::plan_request(&req, &policy, &mut cursor, &mut fit, &mut ctx)
-                    .expect("placeable");
+            let plan = mlp_sched::placement::plan_request(&req, &policy, &mut cursor, &mut ctx)
+                .expect("placeable");
             mlp_sched::placement::unreserve_plan(&plan, &mut ctx);
         });
     });

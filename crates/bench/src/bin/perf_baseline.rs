@@ -102,7 +102,9 @@ fn micro_compare() -> Vec<(String, MicroCompare)> {
         (
             "earliest_fit",
             time_ns(20_000, || naive.earliest_fit(SimTime::from_micros(1000), horizon, dur, amt)),
-            time_ns(20_000, || indexed.earliest_fit(SimTime::from_micros(1000), horizon, dur, amt)),
+            time_ns(20_000, || {
+                indexed.earliest_fit(SimTime::from_micros(1000), horizon, dur, amt, None)
+            }),
         ),
     ];
     cases

@@ -22,11 +22,13 @@
 //! * [`usage_at`](ResourceLedger::usage_at) — one binary search, O(log n).
 //! * [`peak_usage`](ResourceLedger::peak_usage) /
 //!   [`available`](ResourceLedger::available) /
+//!   [`available_if_fits`](ResourceLedger::available_if_fits) /
 //!   [`fits`](ResourceLedger::fits) — binary search + bucket-max range
 //!   query, O(log n + BUCKET + n/BUCKET).
 //! * [`earliest_fit`](ResourceLedger::earliest_fit) — walks only the
 //!   fit/unfit run boundaries inside the window, skipping whole buckets
-//!   via the cached maxima/minima.
+//!   via the cached maxima/minima, and gives up at the caller's *latest
+//!   useful start*.
 //! * [`might_fit`](ResourceLedger::might_fit) — O(1) conservative
 //!   pre-filter for placement: `false` guarantees no window anywhere in
 //!   the retained future fits `amount`, letting the placement loop prune
@@ -34,9 +36,19 @@
 //!   invalidated (recomputed) only on ledger writes and crashes.
 //!
 //! Writes stay O(n) worst-case (array insert + suffix rebuild), but the
-//! admission loop issues orders of magnitude more queries than writes —
-//! every waiting node probes every machine — which is exactly the balance
-//! this layout optimizes for.
+//! admission loop issues orders of magnitude more queries than writes,
+//! which is exactly the balance this layout optimizes for. Placement
+//! (`mlp_sched::placement::earliest_slot`) asks each machine of a shard
+//! *one* window-peak question per DAG node —
+//! [`available_if_fits`](ResourceLedger::available_if_fits) at the node's
+//! ready time, which settles both "can it start now" and the worst-fit
+//! headroom score. Only when no machine can start the node at its ready
+//! time does it walk timelines with
+//! [`earliest_fit`](ResourceLedger::earliest_fit), each walk bounded by the
+//! best slot found so far, so a saturated timeline is abandoned as soon as
+//! it cannot win. Both are stateless: an earlier epoch-validated probe memo
+//! measured 0 hits in 64 M probes (a round never asks the same question
+//! twice) and was deleted.
 
 use mlp_model::ResourceVector;
 use mlp_sim::SimTime;
@@ -150,15 +162,6 @@ pub struct ResourceLedger {
     ///
     /// [`might_fit`]: ResourceLedger::might_fit
     min_level: ResourceVector,
-    /// Monotonic write counter: bumped on every mutation that can change a
-    /// query answer (`reserve`/`unreserve`, crash [`clear`], and
-    /// [`prune_before`]). Lets placement-probe caches validate a memoized
-    /// `earliest_fit`/`available` answer in O(1) — an unchanged epoch means
-    /// the timeline is bit-identical to when the probe ran.
-    ///
-    /// [`clear`]: ResourceLedger::clear
-    /// [`prune_before`]: ResourceLedger::prune_before
-    epoch: u64,
 }
 
 impl ResourceLedger {
@@ -173,20 +176,12 @@ impl ResourceLedger {
             bucket_max: Vec::new(),
             bucket_min: Vec::new(),
             min_level: ResourceVector::ZERO,
-            epoch: 0,
         }
     }
 
     /// Machine capacity.
     pub fn capacity(&self) -> ResourceVector {
         self.capacity
-    }
-
-    /// The current write epoch (see the field docs). Strictly increases on
-    /// every `reserve`/`unreserve`/`clear`/`prune_before`; equal epochs
-    /// guarantee every query answers exactly as it did before.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Inserts (or accumulates into) the delta at instant `t` and returns
@@ -259,7 +254,6 @@ impl ResourceLedger {
     /// `∓amount` at `to`) and restores the index invariants.
     fn write(&mut self, from: SimTime, to: SimTime, amount: ResourceVector, add: bool) {
         query_stats::count(Counter::Write);
-        self.epoch += 1;
         let lo = self.upsert_delta(from.as_micros(), amount, add);
         let hi = self.upsert_delta(to.as_micros(), amount, !add);
         // `hi > lo` always (the keys are distinct and sorted); removing
@@ -342,26 +336,55 @@ impl ResourceLedger {
         amount.fits_within(&self.available(from, to))
     }
 
+    /// The admission test every placement query shares: whether `amount`
+    /// fits on top of a planned usage level. Negative net usage (a stale
+    /// `unreserve` after a crash-time `clear`) counts as zero, never as
+    /// extra headroom.
+    #[inline]
+    fn admits(&self, amount: ResourceVector, usage: &ResourceVector) -> bool {
+        (amount + usage.clamp_non_negative()).fits_within(&self.capacity)
+    }
+
+    /// [`available`](ResourceLedger::available) over `[from, to)` if
+    /// `amount` can be admitted on top of existing plans for that whole
+    /// window, `None` otherwise — both from one window-peak query.
+    ///
+    /// The admission test is [`earliest_fit`](ResourceLedger::earliest_fit)'s
+    /// own arithmetic applied to the component-wise peak (each component's
+    /// test is monotone in that component alone, so the peak fits exactly
+    /// when every level in the window does). For `to > from` and
+    /// `to <= horizon` this is therefore `Some` exactly when
+    /// `earliest_fit(from, horizon, to - from, amount, _)` answers `from`.
+    pub fn available_if_fits(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        amount: ResourceVector,
+    ) -> Option<ResourceVector> {
+        let peak = self.peak_usage(from, to);
+        self.admits(amount, &peak)
+            .then(|| (self.capacity - peak.clamp_non_negative()).clamp_non_negative())
+    }
+
     /// Conservative O(1) availability hint: whether `amount` could fit in
     /// *some* window of the retained future. `false` is definitive — the
     /// usage level never drops low enough anywhere on the timeline, so
     /// every [`fits`](ResourceLedger::fits) /
-    /// [`earliest_fit`](ResourceLedger::earliest_fit) probe for `amount`
-    /// (or more) is guaranteed to fail and the machine can be skipped
-    /// without touching the timeline. `true` only means "worth probing":
+    /// [`earliest_fit`](ResourceLedger::earliest_fit) probe of non-zero
+    /// duration for `amount` (or more) is guaranteed to fail and the
+    /// machine can be skipped without touching the timeline. `true` only means "worth probing":
     /// the cached minimum is component-wise, so simultaneous fit is not
     /// implied.
     pub fn might_fit(&self, amount: ResourceVector) -> bool {
         // Exactly the admission test's arithmetic, applied to the lowest
         // level the profile reaches (monotonicity makes it conservative).
-        (amount + self.min_level.clamp_non_negative()).fits_within(&self.capacity)
+        self.admits(amount, &self.min_level)
     }
 
     /// Forgets every reservation. Used when a machine crashes: the work
     /// planned on it is void, and pre-crash reservations must not shadow
     /// the recovered (empty) machine.
     pub fn clear(&mut self) {
-        self.epoch += 1;
         self.times.clear();
         self.deltas.clear();
         self.prefix.clear();
@@ -378,9 +401,6 @@ impl ResourceLedger {
         if cut == 0 {
             return;
         }
-        // Pruning never changes answers for instants >= t, but probe caches
-        // key on (window, grant), not on instants — bump so they revalidate.
-        self.epoch += 1;
         // Ascending fold into base — the same addition order a naive
         // rescan would have used, so retained levels are unchanged.
         for d in &self.deltas[..cut] {
@@ -402,6 +422,12 @@ impl ResourceLedger {
     /// `horizon`. This powers the "best effort" machine traversal of
     /// Algorithm 1 and the delay-slot search of the self-healing module.
     ///
+    /// `latest` is the caller's *latest useful start*: with `Some(t)` the
+    /// answer is the unbounded one when that is `<= t` and `None`
+    /// otherwise, and the walk stops at `t` instead of the horizon — a
+    /// placement scan passes the best slot another machine already
+    /// offers. `None` searches the whole horizon.
+    ///
     /// Walks the fit/unfit run boundaries of the piecewise-constant usage
     /// profile, skipping whole buckets through the cached maxima (while a
     /// candidate run is open) and minima (while searching for the next
@@ -413,21 +439,24 @@ impl ResourceLedger {
         horizon: SimTime,
         dur: mlp_sim::SimDuration,
         amount: ResourceVector,
+        latest: Option<SimTime>,
     ) -> Option<SimTime> {
         query_stats::count(Counter::EarliestFit);
+        if latest.is_some_and(|t| from > t) {
+            return None;
+        }
         if dur.as_micros() == 0 {
             return Some(from);
         }
         if from >= horizon {
             return None;
         }
-        // Negative net usage (stale unreserve after a crash-time `clear`)
-        // counts as zero, never as extra headroom.
-        let fits_usage = |usage: &ResourceVector| {
-            (amount + usage.clamp_non_negative()).fits_within(&self.capacity)
-        };
+        let fits_usage = |usage: &ResourceVector| self.admits(amount, usage);
 
         let h = horizon.as_micros();
+        // Exclusive limit on where a new candidate run may open: starts
+        // lie before the horizon and at or before `latest`.
+        let start_limit = latest.map_or(h, |t| h.min(t.as_micros().saturating_add(1)));
         // First breakpoint strictly after `from`; the level entering
         // `from` is the profile value just before it.
         let start = self.times.partition_point(|&x| x <= from.as_micros());
@@ -451,7 +480,7 @@ impl ResourceLedger {
                         }
                     }
                 }
-                None => match self.first_fit(i, h, &fits_usage) {
+                None => match self.first_fit(i, start_limit, &fits_usage) {
                     None => return None,
                     Some(j) => {
                         candidate = Some(self.times[j]);
@@ -682,10 +711,10 @@ mod tests {
         let mut l = ResourceLedger::new(rv(4.0));
         l.reserve(t(0), t(30), rv(4.0)); // machine fully busy until 30ms
         let dur = SimDuration::from_millis(10);
-        let slot = l.earliest_fit(t(0), t(1000), dur, rv(2.0));
+        let slot = l.earliest_fit(t(0), t(1000), dur, rv(2.0), None);
         assert_eq!(slot, Some(t(30)));
         // A window that ends before the gap opens: no slot.
-        assert_eq!(l.earliest_fit(t(0), t(30), dur, rv(2.0)), None);
+        assert_eq!(l.earliest_fit(t(0), t(30), dur, rv(2.0), None), None);
     }
 
     #[test]
@@ -694,7 +723,7 @@ mod tests {
         l.reserve(t(0), t(10), rv(4.0));
         l.reserve(t(15), t(25), rv(4.0)); // 5ms gap at 10 is too short
         let dur = SimDuration::from_millis(10);
-        assert_eq!(l.earliest_fit(t(0), t(1000), dur, rv(1.0)), Some(t(25)));
+        assert_eq!(l.earliest_fit(t(0), t(1000), dur, rv(1.0), None), Some(t(25)));
     }
 
     #[test]
@@ -708,7 +737,7 @@ mod tests {
         l.unreserve(t(10), t(20), rv(3.0));
         assert_eq!(l.available(t(10), t(20)), rv(4.0));
         assert!(!l.fits(t(10), t(20), rv(4.1)));
-        let slot = l.earliest_fit(t(0), t(100), SimDuration::from_millis(5), rv(4.0));
+        let slot = l.earliest_fit(t(0), t(100), SimDuration::from_millis(5), rv(4.0), None);
         assert_eq!(slot, Some(t(0)));
     }
 
@@ -734,7 +763,9 @@ mod tests {
         // the hint must not get stuck at the 3.0 floor.
         l.prune_before(t(20));
         assert!(l.might_fit(rv(4.0)));
-        assert!(l.earliest_fit(t(0), t(2_000_000), SimDuration::from_millis(1), rv(4.0)).is_some());
+        assert!(l
+            .earliest_fit(t(0), t(2_000_000), SimDuration::from_millis(1), rv(4.0), None)
+            .is_some());
     }
 
     #[test]
@@ -747,7 +778,7 @@ mod tests {
         }
         for amt in [0.5, 1.0, 2.0, 3.5, 4.0, 4.5] {
             let hint = l.might_fit(rv(amt));
-            let slot = l.earliest_fit(t(0), t(10_000), SimDuration::from_millis(1), rv(amt));
+            let slot = l.earliest_fit(t(0), t(10_000), SimDuration::from_millis(1), rv(amt), None);
             if !hint {
                 assert!(slot.is_none(), "might_fit=false must imply no slot for {amt}");
             }
@@ -819,7 +850,7 @@ mod prop_tests {
             }
             let dur = SimDuration::from_millis(len);
             let horizon = SimTime::from_millis(500);
-            if let Some(slot) = l.earliest_fit(SimTime::ZERO, horizon, dur, rv(amt)) {
+            if let Some(slot) = l.earliest_fit(SimTime::ZERO, horizon, dur, rv(amt), None) {
                 prop_assert!(l.fits(slot, slot + dur, rv(amt)));
             }
         }
@@ -852,7 +883,7 @@ mod prop_tests {
         #[test]
         fn matches_naive_reference(
             ops in prop::collection::vec(arb_op(), 0..80),
-            probes in prop::collection::vec((0u64..220, 1u64..80, 0.1f64..5.0, 1u64..40), 1..25),
+            probes in prop::collection::vec((0u64..220, 1u64..80, 0.1f64..5.0, 0u64..40), 1..25),
         ) {
             let cap = rv(4.0);
             let mut fast = ResourceLedger::new(cap);
@@ -895,16 +926,41 @@ mod prop_tests {
                 // Several horizons, including ones inside the busy region.
                 for h in [start + 1, start + len, 400] {
                     let horizon = SimTime::from_millis(h);
+                    let unbounded = naive.earliest_fit(from, horizon, d, amount);
                     prop_assert_eq!(
-                        fast.earliest_fit(from, horizon, d, amount),
-                        naive.earliest_fit(from, horizon, d, amount),
+                        fast.earliest_fit(from, horizon, d, amount, None),
+                        unbounded,
                         "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt})"
                     );
+                    // A latest useful start keeps the unbounded answer when
+                    // that is early enough and answers `None` otherwise —
+                    // bounds before `from`, on breakpoints, on the answer
+                    // itself and past the horizon.
+                    let on_answer = unbounded.map_or(start, |s| s.as_micros() / 1000);
+                    for b in [start.saturating_sub(1), start, start + len / 2, on_answer, h + 7] {
+                        let bound = SimTime::from_millis(b);
+                        prop_assert_eq!(
+                            fast.earliest_fit(from, horizon, d, amount, Some(bound)),
+                            unbounded.filter(|&s| s <= bound),
+                            "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt}, \
+                             latest={b}ms)"
+                        );
+                    }
                 }
-                // The O(1) hint must never contradict a found slot.
-                if !fast.might_fit(amount) {
+                // One window-peak query settles "starts at `from`": inside
+                // the horizon it agrees with the timeline walk.
+                if dur > 0 {
                     prop_assert_eq!(
-                        fast.earliest_fit(from, SimTime::from_millis(400), d, amount),
+                        fast.available_if_fits(from, from + d, amount),
+                        (naive.earliest_fit(from, from + d, d, amount) == Some(from))
+                            .then(|| naive.available(from, from + d))
+                    );
+                }
+                // The O(1) hint must never contradict a found slot (a
+                // zero-length window is not a slot: it fits anywhere).
+                if dur > 0 && !fast.might_fit(amount) {
+                    prop_assert_eq!(
+                        fast.earliest_fit(from, SimTime::from_millis(400), d, amount, None),
                         None
                     );
                 }

@@ -266,8 +266,9 @@ impl Cluster {
     /// shard's scan order (ascending id). With one shard this visits the
     /// whole cluster in exactly the order [`machines`](Cluster::machines)
     /// does, which is what keeps `shards = 1` byte-identical to the
-    /// unsharded code path.
-    pub fn shard_machines(&self, shard: ShardId) -> impl Iterator<Item = &Machine> + '_ {
+    /// unsharded code path. `Clone`, because the placement scan may walk a
+    /// shard twice.
+    pub fn shard_machines(&self, shard: ShardId) -> impl Iterator<Item = &Machine> + Clone + '_ {
         self.shards.members(shard).iter().map(|&id| &self.machines[id.0 as usize])
     }
 

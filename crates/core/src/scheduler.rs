@@ -13,11 +13,13 @@ use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
 use mlp_cluster::{MachineId, ShardPool};
 use mlp_model::VolatilityClass;
-use mlp_sched::placement::{plan_request, plan_request_in_shard, unreserve_plan, FitCursor};
+use mlp_sched::placement::{
+    earliest_slot_in_cluster, plan_request, plan_request_in_shard, unreserve_plan, SlotTie,
+};
 use mlp_sched::{
     HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
 };
-use mlp_sim::{FastHashMap, SimDuration, SimTime};
+use mlp_sim::{FastHashMap, SimDuration};
 use mlp_trace::metrics::names;
 use mlp_trace::{Decision, DecisionKind, RequestId, Span};
 use serde::{Deserialize, Serialize};
@@ -94,13 +96,6 @@ pub struct VMlpScheduler {
     /// [`DelaySlotIndex`]). Maintained only when `cfg.delay_slot` is on.
     delay_slots: DelaySlotIndex,
     rr_cursor: usize,
-    fit: FitCursor,
-    /// Per-shard placement cursors for the parallel passes, kept across
-    /// rounds so their probe maps retain capacity — a fresh map per job
-    /// per round spent more time growing and rehashing than probing.
-    /// `begin_round` inside the job gives them the exact same lifetime
-    /// semantics as the sequential `fit` above.
-    shard_fits: Vec<FitCursor>,
     interface: InterfaceLayer,
 }
 
@@ -119,8 +114,6 @@ impl VMlpScheduler {
             active: FastHashMap::default(),
             delay_slots: DelaySlotIndex::default(),
             rr_cursor: 0,
-            fit: FitCursor::new(),
-            shard_fits: Vec::new(),
             interface: InterfaceLayer::new(),
         }
     }
@@ -210,7 +203,8 @@ impl VMlpScheduler {
             // slot found before `planned_start` is therefore additional
             // free capacity.
             let machine = ctx.cluster.machine(np.machine);
-            let slot = machine.ledger.earliest_fit(floor, np.planned_start, np.budget, np.grant);
+            let slot =
+                machine.ledger.earliest_fit(floor, np.planned_start, np.budget, np.grant, None);
             let Some(new_start) = slot else { continue };
             if new_start >= np.planned_start {
                 continue;
@@ -284,7 +278,6 @@ impl VMlpScheduler {
     /// audit record matches the sort-based reference in
     /// [`schedule`](Scheduler::schedule) reason-for-reason.
     fn schedule_indexed(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        self.fit.begin_round(ctx.now);
         if self.index.is_empty() {
             return Vec::new();
         }
@@ -317,7 +310,7 @@ impl VMlpScheduler {
             let Some(req) = popped else { break };
             let rt = ctx.catalog.request(req.rtype);
             let policy = organizer_policy(self.cfg.dt_policy, rt.volatility);
-            match plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(&req, &policy, &mut self.rr_cursor, ctx) {
                 Some(plan) => {
                     if ctx.audit.is_enabled() {
                         let root_budget =
@@ -379,7 +372,6 @@ impl VMlpScheduler {
         if self.index.is_empty() {
             return Vec::new();
         }
-        self.fit.begin_round(ctx.now);
 
         // Phase 1 — terms refresh plus the head-of-queue audit record,
         // matching the sorted pass's global reorder.
@@ -414,24 +406,15 @@ impl VMlpScheduler {
         // term — rounds fire per arrival, so a per-round rebuild plus a
         // per-job deep clone were both measurable.
         let terms = self.index.terms_table();
-        if self.shard_fits.len() < shards {
-            self.shard_fits.resize_with(shards, FitCursor::new);
-        }
         let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
         let jobs: Vec<_> = by_shard
             .into_iter()
             .map(|(s, mut machines)| {
                 let mut queues = self.index.take_shard(s);
                 let terms = std::sync::Arc::clone(&terms);
-                // Worker-local placement cursor: probes against this
-                // shard's ledgers, which only this worker writes. Taken
-                // from (and returned to) its persistent slot so the probe
-                // map keeps its capacity across rounds.
-                let mut fit = std::mem::take(&mut self.shard_fits[s]);
                 move |_shard: usize| {
-                    let mut out = ShardPass { shard: s, ..ShardPass::default() };
+                    let mut out = ShardPass::default();
                     let mut failures = 0usize;
-                    fit.begin_round(env.now);
                     loop {
                         let at_cap = failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
                         let popped = if reorder {
@@ -448,7 +431,7 @@ impl VMlpScheduler {
                         }
                         let rt = env.catalog.request(req.rtype);
                         let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(&req, &policy, &env, &mut fit, &mut machines) {
+                        match plan_request_in_shard(&req, &policy, &env, &mut machines) {
                             Some(plan) => {
                                 if audit_on {
                                     let root_budget = plan
@@ -485,7 +468,6 @@ impl VMlpScheduler {
                             }
                         }
                     }
-                    out.fit = fit;
                     out
                 }
             })
@@ -496,7 +478,6 @@ impl VMlpScheduler {
         let mut plans = Vec::new();
         let mut overflow: Vec<RequestInfo> = Vec::new();
         for out in outcomes {
-            self.shard_fits[out.shard] = out.fit;
             for d in out.decisions {
                 ctx.audit.record(d);
             }
@@ -519,7 +500,7 @@ impl VMlpScheduler {
             }
             let rt = ctx.catalog.request(req.rtype);
             let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
                 Some(plan) => {
                     if ctx.audit.is_enabled() {
                         let root_budget =
@@ -579,10 +560,6 @@ struct ShardPass {
     admitted: Vec<(RequestInfo, RequestPlan)>,
     deferred: Vec<RequestInfo>,
     decisions: Vec<Decision>,
-    /// Which shard this pass ran over, so the worker-local placement
-    /// cursor rides back to its slot in `VMlpScheduler::shard_fits`.
-    shard: usize,
-    fit: FitCursor,
 }
 
 impl Scheduler for VMlpScheduler {
@@ -620,7 +597,6 @@ impl Scheduler for VMlpScheduler {
         // The queue is maintained in (arrival, id) order by `on_arrival`
         // (deferrals below preserve it), so FCFS admits as-is; only the
         // reorder ratio — a function of `now` — must be re-scored per round.
-        self.fit.begin_round(ctx.now);
         if self.cfg.reorder && self.queue.len() > 1 {
             sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
             if ctx.audit.is_enabled() {
@@ -656,7 +632,7 @@ impl Scheduler for VMlpScheduler {
                 dt_policy: self.cfg.dt_policy,
                 horizon: SimDuration::from_secs(10),
             };
-            match plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(&req, &policy, &mut self.rr_cursor, ctx) {
                 Some(plan) => {
                     if ctx.audit.is_enabled() {
                         // The Δt tier that shaped this plan: the band is a
@@ -746,7 +722,6 @@ impl Scheduler for VMlpScheduler {
         if self.queue.is_empty() {
             return Vec::new();
         }
-        self.fit.begin_round(ctx.now);
 
         // Phase 1 — reorder, exactly as the sequential pass does it.
         if self.cfg.reorder && self.queue.len() > 1 {
@@ -783,23 +758,14 @@ impl Scheduler for VMlpScheduler {
         let env = ctx.env();
         let dt_policy = self.cfg.dt_policy;
         let audit_on = ctx.audit.is_enabled();
-        if self.shard_fits.len() < shards {
-            self.shard_fits.resize_with(shards, FitCursor::new);
-        }
         let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
         let jobs: Vec<_> = by_shard
             .into_iter()
             .map(|(s, mut machines)| {
                 let reqs = std::mem::take(&mut shard_queues[s]);
-                // Worker-local placement cursor: probes against this
-                // shard's ledgers, which only this worker writes. Taken
-                // from (and returned to) its persistent slot so the probe
-                // map keeps its capacity across rounds.
-                let mut fit = std::mem::take(&mut self.shard_fits[s]);
                 move |_shard: usize| {
-                    let mut out = ShardPass { shard: s, ..ShardPass::default() };
+                    let mut out = ShardPass::default();
                     let mut failures = 0usize;
-                    fit.begin_round(env.now);
                     for (i, req) in reqs.iter().enumerate() {
                         if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
                             // Shard saturated for this round: everything
@@ -809,7 +775,7 @@ impl Scheduler for VMlpScheduler {
                         }
                         let rt = env.catalog.request(req.rtype);
                         let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(req, &policy, &env, &mut fit, &mut machines) {
+                        match plan_request_in_shard(req, &policy, &env, &mut machines) {
                             Some(plan) => {
                                 if audit_on {
                                     let root_budget = plan
@@ -846,7 +812,6 @@ impl Scheduler for VMlpScheduler {
                             }
                         }
                     }
-                    out.fit = fit;
                     out
                 }
             })
@@ -857,7 +822,6 @@ impl Scheduler for VMlpScheduler {
         let mut plans = Vec::new();
         let mut overflow: Vec<RequestInfo> = Vec::new();
         for out in outcomes {
-            self.shard_fits[out.shard] = out.fit;
             for d in out.decisions {
                 ctx.audit.record(d);
             }
@@ -880,7 +844,7 @@ impl Scheduler for VMlpScheduler {
             }
             let rt = ctx.catalog.request(req.rtype);
             let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
                 Some(plan) => {
                     if ctx.audit.is_enabled() {
                         let root_budget =
@@ -1171,43 +1135,19 @@ impl Scheduler for VMlpScheduler {
             if state != NodeState::Planned {
                 continue;
             }
-            // Earliest slot on a live machine (same worst-fit-free search
-            // window the admission pass uses), scanned shard-first from the
-            // request's home shard with cross-shard overflow — a crash must
-            // not turn re-planning back into a whole-cluster scan.
-            let horizon = ctx.now + SimDuration::from_secs(10);
-            let home = ctx.cluster.home_shard(rid.0);
-            let mut best: Option<(MachineId, SimTime)> = None;
-            let mut overflowed = false;
-            for shard in ctx.cluster.shard_scan_order(home) {
-                for m in ctx.cluster.shard_machines(shard) {
-                    if !m.is_up() {
-                        continue;
-                    }
-                    // Same availability-index prune as the admission pass: a
-                    // machine whose cached minimum level cannot host the grant
-                    // has no feasible window at all.
-                    if !m.ledger.might_fit(np.grant) {
-                        continue;
-                    }
-                    if let Some(slot) = m.ledger.earliest_fit(floor, horizon, np.budget, np.grant) {
-                        let better = match best {
-                            None => true,
-                            Some((_, t)) => slot < t,
-                        };
-                        if better {
-                            best = Some((m.id, slot));
-                        }
-                    }
-                }
-                if best.is_some() {
-                    overflowed = shard != home;
-                    break;
-                }
-            }
-            if overflowed {
-                ctx.metrics.inc(names::SHARD_OVERFLOWS);
-            }
+            // Earliest slot on a live machine — the admission pass's scan
+            // (shard-first from the request's home shard, with cross-shard
+            // overflow: a crash must not turn re-planning back into a
+            // whole-cluster scan), minus the worst-fit tie-break.
+            let best = earliest_slot_in_cluster(
+                ctx,
+                ctx.cluster.home_shard(rid.0),
+                floor,
+                ctx.now + SimDuration::from_secs(10),
+                np.budget,
+                np.grant,
+                SlotTie::FirstInScan,
+            );
             // No live machine fits: leave the node to the engine's naive
             // wait-for-recovery path.
             let Some((new_machine, new_start)) = best else { continue };

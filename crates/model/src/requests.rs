@@ -59,7 +59,7 @@ pub fn raw_volatility(dag: &ServiceDag, catalog: &ServiceCatalog) -> f64 {
 }
 
 /// One evaluated request type.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RequestType {
     /// Dense id within the catalog.
     pub id: RequestTypeId,
@@ -67,15 +67,50 @@ pub struct RequestType {
     pub name: String,
     /// Source benchmark.
     pub benchmark: Benchmark,
-    /// Invocation DAG.
+    /// Invocation DAG. Immutable once the type exists: `topo` is derived
+    /// from it.
     pub dag: ServiceDag,
     /// End-to-end SLO in milliseconds (violation ⇒ QoS violation, Fig 10).
     pub slo_ms: f64,
     /// Precomputed `V_r`.
     pub volatility: f64,
+    /// `dag.topo_order()`, computed once when the type is built or
+    /// deserialized — every planning call walks it.
+    #[serde(skip)]
+    topo: Vec<usize>,
+}
+
+/// The serialized form of [`RequestType`]; deserialization goes through it
+/// so that the topological order is rebuilt and a cyclic DAG is rejected at
+/// the boundary instead of panicking a planner later.
+#[derive(Deserialize)]
+struct RequestTypeRepr {
+    id: RequestTypeId,
+    name: String,
+    benchmark: Benchmark,
+    dag: ServiceDag,
+    slo_ms: f64,
+    volatility: f64,
+}
+
+impl Deserialize for RequestType {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let RequestTypeRepr { id, name, benchmark, dag, slo_ms, volatility } =
+            RequestTypeRepr::from_value(v)?;
+        let topo = dag.topo_order().ok_or_else(|| {
+            serde::Error::custom(format!("RequestType `{name}`: DAG has a cycle"))
+        })?;
+        Ok(RequestType { id, name, benchmark, dag, slo_ms, volatility, topo })
+    }
 }
 
 impl RequestType {
+    /// The DAG's nodes in topological order (ties by lowest index), as
+    /// [`ServiceDag::topo_order`] returns them.
+    pub fn topo_order(&self) -> &[usize] {
+        &self.topo
+    }
+
     /// Volatility band of this request type.
     pub fn class(&self) -> VolatilityClass {
         VolatilityClass::from_vr(self.volatility)
@@ -113,8 +148,9 @@ impl RequestCatalog {
         let mut add = |name: &str, benchmark: Benchmark, dag: ServiceDag| {
             let volatility = raw_volatility(&dag, &services);
             let id = RequestTypeId(requests.len() as u32);
-            let mut rt =
-                RequestType { id, name: name.to_string(), benchmark, dag, slo_ms: 0.0, volatility };
+            let topo = dag.topo_order().expect("catalog DAGs are acyclic");
+            let name = name.to_string();
+            let mut rt = RequestType { id, name, benchmark, dag, slo_ms: 0.0, volatility, topo };
             rt.slo_ms = rt.ideal_latency_ms(&services) * SLO_FACTOR;
             requests.push(rt);
         };
@@ -305,6 +341,20 @@ mod tests {
                 class
             );
         }
+    }
+
+    #[test]
+    fn topo_order_is_cached_and_survives_a_round_trip() {
+        let cat = RequestCatalog::paper();
+        let back = RequestCatalog::from_value(&cat.to_value()).unwrap();
+        for (r, b) in cat.requests.iter().zip(&back.requests) {
+            assert_eq!(r.topo_order(), r.dag.topo_order().unwrap());
+            assert_eq!(b.topo_order(), r.topo_order(), "{}", r.name);
+        }
+        // A cycle is refused when it enters, not when a planner walks it.
+        let mut rt = cat.requests[4].clone();
+        rt.dag.add_edge(2, 0);
+        assert!(RequestType::from_value(&rt.to_value()).is_err());
     }
 
     #[test]

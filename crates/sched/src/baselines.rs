@@ -1,6 +1,6 @@
 //! The four comparison schemes of Table VI.
 
-use crate::placement::{plan_request, FitCursor, MachinePolicy, PlanPolicy};
+use crate::placement::{plan_request, MachinePolicy, PlanPolicy};
 use crate::plan::{RequestInfo, RequestPlan};
 use crate::scheduler::{PlanEnv, Scheduler, SchedulerCtx};
 use mlp_model::{Microservice, ResourceVector};
@@ -35,7 +35,6 @@ pub const MAX_ADMIT_TRIES_PER_ROUND: usize = 16;
 pub struct FairSched {
     queue: VecDeque<RequestInfo>,
     rr_cursor: usize,
-    fit: FitCursor,
 }
 
 impl FairSched {
@@ -81,7 +80,7 @@ impl Scheduler for FairSched {
         let policy = FairPolicy { slice: ctx.cluster.machines()[0].capacity * (1.0 / FAIR_SLOTS) };
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx)
+            let plan = plan_request(&req, &policy, &mut self.rr_cursor, ctx)
                 .expect("round-robin placement cannot fail");
             plans.push(plan);
         }
@@ -105,7 +104,6 @@ impl Scheduler for FairSched {
 pub struct CurSched {
     queue: VecDeque<RequestInfo>,
     rr_cursor: usize,
-    fit: FitCursor,
 }
 
 impl CurSched {
@@ -144,7 +142,7 @@ impl Scheduler for CurSched {
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &CurPolicy, &mut self.rr_cursor, &mut self.fit, ctx)
+            let plan = plan_request(&req, &CurPolicy, &mut self.rr_cursor, ctx)
                 .expect("least-loaded placement cannot fail");
             plans.push(plan);
         }
@@ -192,7 +190,6 @@ fn insert_by_deadline(queue: &mut Vec<RequestInfo>, req: RequestInfo, ctx: &Sche
 pub struct PartProfile {
     queue: Vec<RequestInfo>,
     rr_cursor: usize,
-    fit: FitCursor,
 }
 
 impl PartProfile {
@@ -232,7 +229,6 @@ impl Scheduler for PartProfile {
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         // The queue is deadline-sorted by construction (`on_arrival`
         // inserts in order; deferrals below keep it).
-        self.fit.begin_round(ctx.now);
         let mut plans = Vec::new();
         let mut deferred = Vec::new();
         let pending = std::mem::take(&mut self.queue);
@@ -242,7 +238,7 @@ impl Scheduler for PartProfile {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &PartPolicy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(req, &PartPolicy, &mut self.rr_cursor, ctx) {
                 Some(plan) => plans.push(plan),
                 None => {
                     failures += 1;
@@ -276,7 +272,6 @@ impl Scheduler for PartProfile {
 pub struct FullProfile {
     queue: Vec<RequestInfo>,
     rr_cursor: usize,
-    fit: FitCursor,
 }
 
 impl FullProfile {
@@ -321,7 +316,6 @@ impl Scheduler for FullProfile {
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         // Deadline-sorted by construction, exactly like `PartProfile`.
-        self.fit.begin_round(ctx.now);
         let mut plans = Vec::new();
         let mut deferred = Vec::new();
         let pending = std::mem::take(&mut self.queue);
@@ -331,7 +325,7 @@ impl Scheduler for FullProfile {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &FullPolicy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(req, &FullPolicy, &mut self.rr_cursor, ctx) {
                 Some(plan) => plans.push(plan),
                 None => {
                     failures += 1;

@@ -2,126 +2,125 @@
 
 use crate::plan::{NodePlan, RequestInfo, RequestPlan};
 use crate::scheduler::{PlanEnv, SchedulerCtx};
-use mlp_cluster::{Machine, MachineId};
-use mlp_model::{Microservice, ResourceVector};
-use mlp_sim::{FastHashMap, SimDuration, SimTime};
+use mlp_cluster::{Machine, MachineId, ShardId};
+use mlp_model::{Microservice, ResourceVector, ServiceDag};
+use mlp_sim::{SimDuration, SimTime};
 
-/// The full input of one ledger placement probe. Two probes with equal keys
-/// against a ledger at the same write epoch are the same computation, so
-/// their `might_fit` → `earliest_fit` → headroom triple answers bitwise
-/// identically — which is what makes the cursor *exact* rather than a
-/// heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProbeKey {
-    machine: MachineId,
-    ready_us: u64,
-    horizon_us: u64,
-    budget_us: u64,
-    grant_bits: [u64; 3],
+/// How [`earliest_slot`] ranks machines that offer the same slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotTie {
+    /// The machine with the most planned headroom over the window wins
+    /// (worst-fit; a strictly greater score displaces, so the first in scan
+    /// order wins exact ties). Admission uses this: spreading keeps slack
+    /// for execution-time and communication slips — packing tightly onto
+    /// one machine would turn every slip into the Fig 5 contention.
+    MostHeadroom,
+    /// The first machine in scan order wins (crash re-planning, pinned
+    /// probes).
+    FirstInScan,
 }
 
-impl ProbeKey {
-    fn new(
-        machine: MachineId,
-        ready: SimTime,
-        horizon_end: SimTime,
-        budget: SimDuration,
-        grant: &ResourceVector,
-    ) -> Self {
-        ProbeKey {
-            machine,
-            ready_us: ready.0,
-            horizon_us: horizon_end.0,
-            budget_us: budget.as_micros(),
-            grant_bits: [grant.cpu.to_bits(), grant.mem.to_bits(), grant.io.to_bits()],
-        }
-    }
-}
-
-/// A placement cursor: memoized `earliest_fit` probes for the ledger scan.
+/// The one machine scan: the live machine of `machines` on whose ledger
+/// `grant` fits for `budget` at the earliest instant in
+/// `[ready, horizon_end)`, ties broken by `tie`. `None` when no live
+/// machine has a window before the horizon.
 ///
-/// An admission round probes every candidate machine once per node, and a
-/// deferral-heavy round repeats near-identical probes for every queued
-/// request of the same type (same budget, same grant, same `ready = now`
-/// for root nodes). The cursor caches each probe's outcome keyed by its
-/// full inputs plus the target ledger's write epoch
-/// ([`ResourceLedger::epoch`](mlp_cluster::ResourceLedger::epoch)): a hit
-/// with an unchanged epoch replays the memoized slot/headroom in O(1), and
-/// any ledger write (reserve, unreserve, crash clear, prune) bumps the
-/// epoch so stale entries can never be returned. Liveness (`is_up`) is
-/// deliberately checked *outside* the cursor — machine recovery does not
-/// touch the ledger, so it must not need an epoch bump to be seen.
+/// Exact, and stateless, in two passes:
 ///
-/// Entries are only meaningful within one scheduling round (`ready` keys
-/// on `now`), so [`begin_round`](Self::begin_round) drops them whenever
-/// the round time moves — bounding the map at one round's probe count.
-#[derive(Debug, Default)]
-pub struct FitCursor {
-    round: Option<SimTime>,
-    entries: FastHashMap<ProbeKey, (u64, Option<(SimTime, f64)>)>,
-}
+/// 1. One window-peak query per machine at `ready`
+///    ([`ResourceLedger::available_if_fits`](mlp_cluster::ResourceLedger::available_if_fits)).
+///    Nothing can start before `ready`, so a machine that fits there offers
+///    the winning slot, and the same peak gives its headroom score; an
+///    idle window (score 1.0) cannot be beaten and ends the scan.
+/// 2. Only when no machine fits at `ready`: walk each timeline with
+///    `earliest_fit`, bounded by the best slot found so far (the *latest
+///    useful start*), so a saturated timeline is abandoned as soon as it
+///    cannot win.
+///
+/// Pass 1 is skipped where its question is not `earliest_fit`'s: a zero
+/// budget (no window to query) and a window reaching past the horizon
+/// (`earliest_fit` clips it there).
+pub fn earliest_slot<'a>(
+    machines: impl Iterator<Item = &'a Machine> + Clone,
+    ready: SimTime,
+    horizon_end: SimTime,
+    budget: SimDuration,
+    grant: ResourceVector,
+    tie: SlotTie,
+) -> Option<(MachineId, SimTime)> {
+    let live = machines.filter(|m| m.is_up()); // crashed machines take no new plans
 
-impl FitCursor {
-    /// An empty cursor. Allocation-free until the first ledger probe, so
-    /// schemes that never use `LedgerEarliestFit` pay nothing for it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the start of a scheduling round at `now`, dropping entries
-    /// from earlier rounds (their `ready`-derived keys can no longer match
-    /// and would only grow the map).
-    pub fn begin_round(&mut self, now: SimTime) {
-        if self.round != Some(now) {
-            self.round = Some(now);
-            self.entries.clear();
-        }
-    }
-
-    /// Cached probe entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no probes are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The `might_fit` → `earliest_fit` → headroom probe against one
-    /// machine's ledger, memoized. Returns the earliest feasible slot and
-    /// the window's worst-fit headroom score, or `None` when the grant has
-    /// no window before the horizon. The caller must have checked
-    /// `m.is_up()` already.
-    fn probe(
-        &mut self,
-        m: &Machine,
-        ready: SimTime,
-        horizon_end: SimTime,
-        budget: SimDuration,
-        grant: ResourceVector,
-    ) -> Option<(SimTime, f64)> {
-        let key = ProbeKey::new(m.id, ready, horizon_end, budget, &grant);
-        let epoch = m.ledger.epoch();
-        if let Some(&(cached_epoch, result)) = self.entries.get(&key) {
-            if cached_epoch == epoch {
-                return result;
+    if budget > SimDuration::ZERO && ready + budget <= horizon_end {
+        let mut roomiest: Option<(MachineId, f64)> = None;
+        for m in live.clone() {
+            let Some(free) = m.ledger.available_if_fits(ready, ready + budget, grant) else {
+                continue;
+            };
+            if tie == SlotTie::FirstInScan {
+                return Some((m.id, ready));
+            }
+            let headroom = free.utilization_against(&m.capacity);
+            if roomiest.is_none_or(|(_, h)| headroom > h) {
+                roomiest = Some((m.id, headroom));
+                if headroom >= 1.0 {
+                    break;
+                }
             }
         }
-        let result = if !m.ledger.might_fit(grant) {
-            // `might_fit` is a conservative superset test: when it fails,
-            // no window exists, which is exactly the `None` outcome.
-            None
-        } else {
-            m.ledger.earliest_fit(ready, horizon_end, budget, grant).map(|slot| {
-                let headroom =
-                    m.ledger.available(slot, slot + budget).utilization_against(&m.capacity);
-                (slot, headroom)
-            })
-        };
-        self.entries.insert(key, (epoch, result));
-        result
+        if let Some((m, _)) = roomiest {
+            return Some((m, ready));
+        }
     }
+
+    let mut best: Option<(MachineId, SimTime, f64)> = None;
+    for m in live {
+        // The O(1) availability index: a machine whose lowest level cannot
+        // host the grant has no window at all.
+        if !m.ledger.might_fit(grant) {
+            continue;
+        }
+        let latest = best.map(|(_, slot, _)| slot);
+        let Some(slot) = m.ledger.earliest_fit(ready, horizon_end, budget, grant, latest) else {
+            continue;
+        };
+        let headroom = match tie {
+            SlotTie::MostHeadroom => {
+                m.ledger.available(slot, slot + budget).utilization_against(&m.capacity)
+            }
+            SlotTie::FirstInScan => 0.0, // equal scores: only an earlier slot displaces
+        };
+        if best.is_none_or(|(_, t, h)| slot < t || (slot == t && headroom > h)) {
+            best = Some((m.id, slot, headroom));
+        }
+    }
+    best.map(|(m, slot, _)| (m, slot))
+}
+
+/// [`earliest_slot`] over the cluster, shard-first: only the `home` shard
+/// is searched unless it has no feasible window at all, in which case the
+/// scan overflows to the other shards in rotation order (cross-shard work
+/// stealing, counted in `SHARD_OVERFLOWS`). The first shard with a window
+/// wins — no wider scan. With one shard (the default) this is exactly a
+/// whole-cluster scan.
+pub fn earliest_slot_in_cluster(
+    ctx: &SchedulerCtx<'_>,
+    home: ShardId,
+    ready: SimTime,
+    horizon_end: SimTime,
+    budget: SimDuration,
+    grant: ResourceVector,
+    tie: SlotTie,
+) -> Option<(MachineId, SimTime)> {
+    for shard in ctx.cluster.shard_scan_order(home) {
+        let machines = ctx.cluster.shard_machines(shard);
+        if let Some(hit) = earliest_slot(machines, ready, horizon_end, budget, grant, tie) {
+            if shard != home {
+                ctx.metrics.inc(mlp_trace::metrics::names::SHARD_OVERFLOWS);
+            }
+            return Some(hit);
+        }
+    }
+    None
 }
 
 /// How a scheme picks the machine for each node.
@@ -171,6 +170,23 @@ pub trait PlanPolicy {
     }
 }
 
+/// Earliest start of DAG node `i`: every parent's planned end plus the
+/// expected caller→callee communication delay (the conservative
+/// cross-machine one; co-location is decided later), and never before
+/// `now`.
+pub(crate) fn ready_time(
+    dag: &ServiceDag,
+    i: usize,
+    svc: &Microservice,
+    planned: &[Option<NodePlan>],
+    env: &PlanEnv<'_>,
+) -> SimTime {
+    let comm = env.net.expected_delay(false, svc.comm);
+    dag.parents_iter(i)
+        .map(|p| planned[p].as_ref().expect("topo order visits parents first").planned_end() + comm)
+        .fold(env.now, SimTime::max)
+}
+
 /// Plans every node of `req`'s DAG in topological order.
 ///
 /// For each node the earliest feasible start is the latest parent's
@@ -186,13 +202,11 @@ pub fn plan_request(
     req: &RequestInfo,
     policy: &impl PlanPolicy,
     rr_cursor: &mut usize,
-    fit: &mut FitCursor,
     ctx: &mut SchedulerCtx<'_>,
 ) -> Option<RequestPlan> {
     let env = ctx.env();
     let rtype = ctx.catalog.request(req.rtype);
     let dag = &rtype.dag;
-    let order = dag.topo_order().expect("request DAGs are validated acyclic");
     let n_machines = ctx.cluster.len();
     assert!(n_machines > 0, "cannot plan on an empty cluster");
 
@@ -200,23 +214,12 @@ pub fn plan_request(
     let horizon_end = ctx.now + policy.horizon();
     let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
 
-    for &i in &order {
+    for &i in rtype.topo_order() {
         let node = dag.node(i);
         let svc = ctx.catalog.services.get(node.service);
         let budget = policy.budget(i, svc, node.work_factor, &env);
         let grant = policy.grant(i, svc, &env);
-
-        // Earliest start: all parents done + expected comm (assume the
-        // conservative cross-machine delay; co-location is decided later).
-        let mut ready = ctx.now;
-        for p in dag.parents_iter(i) {
-            let parent = nodes[p].as_ref().expect("topo order visits parents first");
-            let comm = ctx.net.expected_delay(false, svc.comm);
-            let t = parent.planned_end() + comm;
-            if t > ready {
-                ready = t;
-            }
-        }
+        let ready = ready_time(dag, i, svc, &nodes, &env);
 
         let placed = match policy.machine_policy() {
             MachinePolicy::RoundRobin => {
@@ -225,54 +228,15 @@ pub fn plan_request(
                 Some((m, ready))
             }
             MachinePolicy::LeastLoaded => ctx.cluster.least_loaded().map(|m| (m, ready)),
-            MachinePolicy::LedgerEarliestFit => {
-                // Shard-first scan: only the request's home shard is
-                // searched, unless it has no feasible window at all, in
-                // which case the scan overflows to the other shards in
-                // rotation order (cross-shard work stealing). With one
-                // shard (the default) this is exactly a whole-cluster scan.
-                //
-                // Within a shard, earliest start wins; among machines that
-                // can start at the same instant, prefer the one with the
-                // most planned headroom in the window (worst-fit).
-                // Spreading keeps slack for execution-time and
-                // communication slips — packing tightly onto one machine
-                // would turn every slip into the Fig 5 contention.
-                let home = ctx.cluster.home_shard(req.id.0);
-                let mut best: Option<(MachineId, SimTime, f64)> = None;
-                let mut overflowed = false;
-                for shard in ctx.cluster.shard_scan_order(home) {
-                    for m in ctx.cluster.shard_machines(shard) {
-                        if !m.is_up() {
-                            continue; // crashed machines take no new plans
-                        }
-                        // The memoized availability-index + earliest-fit +
-                        // headroom probe (see [`FitCursor`]): a repeated
-                        // probe against an unchanged ledger replays its
-                        // cached answer, so deferral-heavy rounds stop
-                        // re-walking every timeline per queued request.
-                        if let Some((slot, headroom)) =
-                            fit.probe(m, ready, horizon_end, budget, grant)
-                        {
-                            let better = match best {
-                                None => true,
-                                Some((_, t, h)) => slot < t || (slot == t && headroom > h),
-                            };
-                            if better {
-                                best = Some((m.id, slot, headroom));
-                            }
-                        }
-                    }
-                    if best.is_some() {
-                        overflowed = shard != home;
-                        break; // first shard with a window wins — no wider scan
-                    }
-                }
-                if overflowed {
-                    ctx.metrics.inc(mlp_trace::metrics::names::SHARD_OVERFLOWS);
-                }
-                best.map(|(m, t, _)| (m, t))
-            }
+            MachinePolicy::LedgerEarliestFit => earliest_slot_in_cluster(
+                ctx,
+                ctx.cluster.home_shard(req.id.0),
+                ready,
+                horizon_end,
+                budget,
+                grant,
+                SlotTie::MostHeadroom,
+            ),
         };
 
         let (machine, start) = match placed {
@@ -323,12 +287,10 @@ pub fn plan_request_in_shard(
     req: &RequestInfo,
     policy: &impl PlanPolicy,
     env: &PlanEnv<'_>,
-    fit: &mut FitCursor,
     machines: &mut [&mut Machine],
 ) -> Option<RequestPlan> {
     let rtype = env.catalog.request(req.rtype);
     let dag = &rtype.dag;
-    let order = dag.topo_order().expect("request DAGs are validated acyclic");
     if machines.is_empty() {
         return None;
     }
@@ -337,40 +299,24 @@ pub fn plan_request_in_shard(
     let horizon_end = env.now + policy.horizon();
     let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
 
-    for &i in &order {
+    for &i in rtype.topo_order() {
         let node = dag.node(i);
         let svc = env.catalog.services.get(node.service);
         let budget = policy.budget(i, svc, node.work_factor, env);
         let grant = policy.grant(i, svc, env);
+        let ready = ready_time(dag, i, svc, &nodes, env);
 
-        let mut ready = env.now;
-        for p in dag.parents_iter(i) {
-            let parent = nodes[p].as_ref().expect("topo order visits parents first");
-            let comm = env.net.expected_delay(false, svc.comm);
-            let t = parent.planned_end() + comm;
-            if t > ready {
-                ready = t;
-            }
-        }
-
-        let mut best: Option<(MachineId, SimTime, f64)> = None;
-        for m in machines.iter() {
-            if !m.is_up() {
-                continue;
-            }
-            if let Some((slot, headroom)) = fit.probe(m, ready, horizon_end, budget, grant) {
-                let better = match best {
-                    None => true,
-                    Some((_, t, h)) => slot < t || (slot == t && headroom > h),
-                };
-                if better {
-                    best = Some((m.id, slot, headroom));
-                }
-            }
-        }
+        let best = earliest_slot(
+            machines.iter().map(|m| &**m),
+            ready,
+            horizon_end,
+            budget,
+            grant,
+            SlotTie::MostHeadroom,
+        );
 
         let (machine, start) = match best {
-            Some((m, t, _)) => (m, t),
+            Some(hit) => hit,
             None => {
                 for (m, from, to, amt) in reserved {
                     let idx = machines
@@ -496,7 +442,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "compose-post");
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
         let dag = &cat.request_by_name("compose-post").unwrap().dag;
         assert_eq!(plan.nodes.len(), dag.len());
         assert!(plan.respects_dag(dag));
@@ -516,7 +462,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // 3-node chain
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
         // Child starts strictly after parent's planned end (comm gap > 0).
         let dag = &cat.request_by_name("read-user-timeline").unwrap().dag;
         for &(a, b) in dag.edges() {
@@ -544,7 +490,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline");
-        assert!(plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).is_none());
+        assert!(plan_request(&r, &p, &mut cursor, &mut ctx).is_none());
     }
 
     #[test]
@@ -574,7 +520,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "compose-post"); // wide fan-out
-        let result = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx);
+        let result = plan_request(&r, &p, &mut cursor, &mut ctx);
         assert!(result.is_none(), "expected unplaceable");
         // Ledgers restored exactly.
         for (m, before) in ctx.cluster.machines().iter().zip(baseline_avail) {
@@ -596,7 +542,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // RequestId(1) → home shard 1
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
         for np in &plan.nodes {
             assert_eq!(ctx.cluster.shard_of(np.machine), mlp_cluster::ShardId(1));
         }
@@ -626,7 +572,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // home shard 1 is saturated
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
         for np in &plan.nodes {
             assert_eq!(
                 ctx.cluster.shard_of(np.machine),
@@ -655,14 +601,12 @@ mod tests {
 
         let mut ctx = ctx!(full, cat, net, prof, met);
         let mut cursor = 0;
-        let reference = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let reference = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
 
         let home = local.home_shard(r.id.0).0 as usize;
         let env = PlanEnv { now: SimTime::ZERO, profiles: &prof, catalog: &cat, net: &net };
         let mut by_shard = local.machines_by_shard_mut();
-        let shard_plan =
-            plan_request_in_shard(&r, &p, &env, &mut FitCursor::new(), &mut by_shard[home])
-                .unwrap();
+        let shard_plan = plan_request_in_shard(&r, &p, &env, &mut by_shard[home]).unwrap();
         drop(by_shard);
 
         assert_eq!(shard_plan, reference);
@@ -702,8 +646,7 @@ mod tests {
         let home = local.home_shard(r.id.0).0 as usize;
         let env = PlanEnv { now: SimTime::ZERO, profiles: &prof, catalog: &cat, net: &net };
         let mut by_shard = local.machines_by_shard_mut();
-        assert!(plan_request_in_shard(&r, &p, &env, &mut FitCursor::new(), &mut by_shard[home])
-            .is_none());
+        assert!(plan_request_in_shard(&r, &p, &env, &mut by_shard[home]).is_none());
         drop(by_shard);
         for (m, before) in local.machines().iter().zip(baseline) {
             let after = m.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
@@ -723,7 +666,7 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "basicSearch");
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan = plan_request(&r, &p, &mut cursor, &mut ctx).unwrap();
         unreserve_plan(&plan, &mut ctx);
         for m in ctx.cluster.machines() {
             let avail = m.ledger.available(SimTime::ZERO, SimTime::from_secs(10));

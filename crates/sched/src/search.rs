@@ -18,10 +18,12 @@
 //! identical audit trail.
 
 use crate::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-use crate::placement::{plan_request, unreserve_plan, FitCursor, MachinePolicy, PlanPolicy};
+use crate::placement::{
+    earliest_slot, plan_request, ready_time, unreserve_plan, MachinePolicy, PlanPolicy, SlotTie,
+};
 use crate::plan::{NodePlan, RequestInfo, RequestPlan};
 use crate::scheduler::{PlanEnv, Scheduler, SchedulerCtx};
-use mlp_cluster::{Machine, MachineId};
+use mlp_cluster::MachineId;
 use mlp_model::{Microservice, ResourceVector};
 use mlp_sim::{SimDuration, SimRng, SimTime};
 use mlp_trace::{Decision, DecisionKind};
@@ -105,28 +107,11 @@ fn plan_cost(plan: &RequestPlan) -> (SimTime, u128) {
     (plan.planned_makespan_end(), start_sum)
 }
 
-/// One ledger probe without the memo layer: VNS move evaluation touches a
-/// bounded number of (machine, slot) pairs, and every accepted move
-/// invalidates earlier probes anyway.
-fn probe(
-    m: &Machine,
-    ready: SimTime,
-    horizon_end: SimTime,
-    budget: SimDuration,
-    grant: ResourceVector,
-) -> Option<SimTime> {
-    if !m.is_up() || !m.ledger.might_fit(grant) {
-        return None;
-    }
-    m.ledger.earliest_fit(ready, horizon_end, budget, grant)
-}
-
 /// The volatility-agnostic local-search scheduler.
 pub struct SearchSched {
     cfg: SearchConfig,
     queue: Vec<RequestInfo>,
     rr_cursor: usize,
-    fit: FitCursor,
     rng: SimRng,
     /// Plans improved by the VNS refinement (diagnostics).
     improved: u64,
@@ -147,7 +132,6 @@ impl SearchSched {
             cfg,
             queue: Vec::new(),
             rr_cursor: 0,
-            fit: FitCursor::new(),
             rng: SimRng::new(seed).fork(SEARCH_RNG_STREAM),
             improved: 0,
             moves: 0,
@@ -175,31 +159,27 @@ impl SearchSched {
         grants: &[ResourceVector],
         ctx: &mut SchedulerCtx<'_>,
     ) -> Option<RequestPlan> {
-        let dag = &ctx.catalog.request(req.rtype).dag;
-        let order = dag.topo_order().expect("request DAGs are validated acyclic");
+        let env = ctx.env();
+        let rtype = ctx.catalog.request(req.rtype);
+        let dag = &rtype.dag;
         let horizon_end = ctx.now + SearchPolicy { margin: self.cfg.margin }.horizon();
         let mut nodes: Vec<Option<NodePlan>> = vec![None; dag.len()];
         let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
 
-        for &i in &order {
+        for &i in rtype.topo_order() {
             let svc = ctx.catalog.services.get(dag.node(i).service);
-            let mut ready = ctx.now;
-            for p in dag.parents_iter(i) {
-                let parent = nodes[p].as_ref().expect("topo order visits parents first");
-                let t = parent.planned_end() + ctx.net.expected_delay(false, svc.comm);
-                if t > ready {
-                    ready = t;
-                }
-            }
+            let ready = ready_time(dag, i, svc, &nodes, &env);
             let machine = assignment[i];
-            let start = match probe(
-                ctx.cluster.machine(machine),
+            // The shared scan over the one pinned machine.
+            let start = match earliest_slot(
+                std::iter::once(ctx.cluster.machine(machine)),
                 ready,
                 horizon_end,
                 budgets[i],
                 grants[i],
+                SlotTie::FirstInScan,
             ) {
-                Some(slot) => slot,
+                Some((_, slot)) => slot,
                 None => {
                     for (m, from, to, amt) in reserved {
                         ctx.cluster.machine_mut(m).ledger.unreserve(from, to, amt);
@@ -325,7 +305,6 @@ impl Scheduler for SearchSched {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        self.fit.begin_round(ctx.now);
         let policy = SearchPolicy { margin: self.cfg.margin };
         let mut plans = Vec::new();
         let mut deferred = Vec::new();
@@ -337,7 +316,7 @@ impl Scheduler for SearchSched {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
                 Some(greedy) => {
                     let plan = if refined < self.cfg.round_budget {
                         refined += 1;
