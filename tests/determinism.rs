@@ -297,3 +297,53 @@ fn banded_dt_fast_path_matches_sort_based_reference() {
         }
     }
 }
+
+#[test]
+fn vmlp_schedules_are_pinned() {
+    // The schedule-level pin for the v-MLP admission round: the full result
+    // and the decision trail of fixed-seed runs, digested. The constants
+    // were recorded on the commit that still carried the sort-based
+    // reference round (which these runs matched record for record), so any
+    // change to admission order, Δt budgets, deferrals or their audit
+    // records moves a digest. Covered: the sequential round (shards = 1,
+    // and the head-of-line ablation at any shard count), the parallel
+    // round (shards = 4) and the FCFS pop path — each at the smoke rate,
+    // where every request is admitted on its first try, and at ten times
+    // it, where the trail is mostly `Defer` and `Reorder` records (queue
+    // switches, home-shard misses, the overflow pass and the per-round
+    // failure cap all fire).
+    use std::hash::Hasher;
+    use v_mlp::sim::FastHasher;
+    const PINS: [(&str, usize, f64, u64); 12] = [
+        ("vmlp", 1, 40.0, 0x9d62_f894_2eab_8cce),
+        ("vmlp", 4, 40.0, 0xc6d5_aeb6_0f53_c6a2),
+        ("vmlp:reorder=off", 1, 40.0, 0x16be_eaa0_08d7_da8a),
+        ("vmlp:reorder=off", 4, 40.0, 0x7469_5457_df19_12da),
+        ("vmlp:queue_switch=off", 1, 40.0, 0xf4b4_f6c5_f2de_03dc),
+        ("vmlp:queue_switch=off", 4, 40.0, 0x12e6_de93_5b41_3c6e),
+        ("vmlp", 1, 400.0, 0xc4cf_5a91_9598_3f3c),
+        ("vmlp", 4, 400.0, 0x607e_c19d_16c0_9659),
+        ("vmlp:reorder=off", 1, 400.0, 0x8f16_30f8_3842_de65),
+        ("vmlp:reorder=off", 4, 400.0, 0x8adc_d306_55bb_366a),
+        ("vmlp:queue_switch=off", 1, 400.0, 0xde62_7c28_1482_2f14),
+        ("vmlp:queue_switch=off", 4, 400.0, 0x7f88_1329_bf68_3da2),
+    ];
+    for (spec, shards, rate, pinned) in PINS {
+        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
+            .with_seed(17)
+            .with_rate(rate)
+            .with_shards(shards, ShardPolicy::RoundRobin);
+        let (result, out) = Experiment::from_config(cfg)
+            .scheme_spec(spec)
+            .expect("spec parses")
+            .audit(true)
+            .run_full()
+            .expect("pinned config runs");
+        let trail = out.audit.decisions();
+        let mut h = FastHasher::default();
+        h.write(serde_json::to_string(&result).expect("result serializes").as_bytes());
+        h.write(serde_json::to_string(&trail).expect("trail serializes").as_bytes());
+        let got = h.finish();
+        assert_eq!(got, pinned, "{spec} shards={shards} rate={rate}: digest {got:#018x}");
+    }
+}
