@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlp_cluster::{Cluster, ShardPolicy, ShardPool};
-use mlp_core::{VMlpConfig, VMlpScheduler};
+use mlp_core::VMlpScheduler;
 use mlp_engine::profiling::warm_profiles;
 use mlp_model::{RequestCatalog, ResourceVector};
 use mlp_net::NetworkModel;
@@ -70,12 +70,12 @@ fn bench_kernel_tick(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tentpole's queue-depth axis: one sequential admission round over a
-/// waiting queue of 16 / 256 / 4096 requests, sorted reference vs
-/// incremental index. The sort pays `O(n log n)` per round regardless of
-/// how many requests actually admit; the index pays per pop. A single
-/// 16-machine shard keeps placement cost fixed so the spread between the
-/// two variants isolates queue maintenance.
+/// The queue-depth axis: one sequential admission round over a waiting
+/// queue of 16 / 256 / 4096 requests. The reorder index pays per pop, not
+/// per queued request, so the round's cost should track how many requests
+/// it tries (capped per round), not the depth. A single 16-machine shard
+/// keeps placement cost fixed so the spread across depths isolates queue
+/// maintenance.
 fn bench_queue_depth(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue_depth_tick");
     g.sample_size(10);
@@ -96,31 +96,26 @@ fn bench_queue_depth(c: &mut Criterion) {
                 arrival: SimTime::from_millis((i as u64 * 7) % 900),
             })
             .collect();
-        for (variant, cfg) in [
-            ("indexed", VMlpConfig::paper()),
-            ("sorted", VMlpConfig { unindexed_reorder: true, ..VMlpConfig::paper() }),
-        ] {
-            let id = BenchmarkId::from_parameter(format!("q{depth}_{variant}"));
-            g.bench_with_input(id, &depth, |b, _| {
-                b.iter(|| {
-                    let mut cluster = base.clone();
-                    let mut sched = VMlpScheduler::with_config(cfg);
-                    let mut ctx = SchedulerCtx {
-                        now: SimTime::from_secs(1),
-                        cluster: &mut cluster,
-                        profiles: &profiles,
-                        catalog: &catalog,
-                        net: &net,
-                        metrics: &metrics,
-                        audit: &audit,
-                    };
-                    for r in &reqs {
-                        sched.on_arrival(*r, &mut ctx);
-                    }
-                    black_box(sched.schedule(&mut ctx))
-                });
+        let id = BenchmarkId::from_parameter(format!("q{depth}"));
+        g.bench_with_input(id, &depth, |b, _| {
+            b.iter(|| {
+                let mut cluster = base.clone();
+                let mut sched = VMlpScheduler::new();
+                let mut ctx = SchedulerCtx {
+                    now: SimTime::from_secs(1),
+                    cluster: &mut cluster,
+                    profiles: &profiles,
+                    catalog: &catalog,
+                    net: &net,
+                    metrics: &metrics,
+                    audit: &audit,
+                };
+                for r in &reqs {
+                    sched.on_arrival(*r, &mut ctx);
+                }
+                black_box(sched.schedule(&mut ctx))
             });
-        }
+        });
     }
     g.finish();
 }

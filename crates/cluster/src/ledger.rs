@@ -16,7 +16,7 @@
 //! order to a naive rescan from `base`, so every query answer is
 //! bit-identical to the reference [`NaiveLedger`](crate::ledger_naive::NaiveLedger)).
 //! On top of the profile sit coarse-bucket component-wise min/max
-//! summaries ([`BUCKET`] levels per bucket) and a cached whole-timeline
+//! summaries (`BUCKET` levels per bucket) and a cached whole-timeline
 //! minimum level:
 //!
 //! * [`usage_at`](ResourceLedger::usage_at) — one binary search, O(log n).

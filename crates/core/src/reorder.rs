@@ -112,7 +112,9 @@ pub(crate) fn ratio_order(
 }
 
 /// Sorts a waiting queue by descending `R` (highest priority first), with
-/// arrival order as a deterministic tie-break.
+/// arrival order as a deterministic tie-break. The scheduler no longer
+/// sorts — it pops [`ReorderIndex`](crate::reorder_index::ReorderIndex) —
+/// and this is the reference order those pops are tested against.
 ///
 /// The catalog/profile-derived terms are looked up once per request *type*
 /// (the catalog has a handful of types; queues have hundreds of requests),

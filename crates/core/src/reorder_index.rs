@@ -11,7 +11,7 @@
 //! monotone non-increasing in arrival time. So each per-type queue, kept in
 //! `(arrival, id)`-ascending order, is automatically *ratio-descending*:
 //! its front is the type's maximum under the sort's exact comparator
-//! ([`ratio_order`]: ratio descending, then arrival, then id). The global
+//! (`ratio_order`: ratio descending, then arrival, then id). The global
 //! maximum is therefore always among the queue fronts, and popping the best
 //! front repeatedly replays the sorted order pop by pop. Restricting a
 //! total order to a partition (the per-shard split of the parallel pass)
@@ -154,8 +154,9 @@ impl ShardQueues {
         req
     }
 
-    /// Pops the highest-ratio waiting request (the sort-based path's next
-    /// admission candidate), with its ratio.
+    /// Pops the highest-ratio waiting request (what a full
+    /// [`sort_by_reorder_ratio`](crate::reorder::sort_by_reorder_ratio)
+    /// would put first), with its ratio.
     pub fn pop_max(&mut self, now: SimTime, terms: &TermsTable) -> Option<(f64, RequestInfo)> {
         let (qi, r) = self.best_by_ratio(now, terms)?;
         Some((r, self.pop_front_of(qi)))

@@ -8,16 +8,17 @@ use crate::healer::{
 };
 use crate::interface::InterfaceLayer;
 use crate::organizer::{DtPolicy, OrganizerPolicy};
-use crate::reorder::sort_by_reorder_ratio;
 use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
 use mlp_cluster::{MachineId, ShardPool};
 use mlp_model::VolatilityClass;
+use mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
 use mlp_sched::placement::{
-    earliest_slot_in_cluster, plan_request, plan_request_in_shard, unreserve_plan, SlotTie,
+    earliest_slot_in_cluster, plan_request, plan_request_in_shard, SlotTie,
 };
 use mlp_sched::{
-    HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
+    HealingAction, LateInfo, NodeFailure, PlanEnv, RequestInfo, RequestPlan, Scheduler,
+    SchedulerCtx,
 };
 use mlp_sim::{FastHashMap, SimDuration};
 use mlp_trace::metrics::names;
@@ -45,13 +46,6 @@ pub struct VMlpConfig {
     pub trim_reservations: bool,
     /// How many delay-slot / stretch candidates to act on per deviation.
     pub heal_fanout: usize,
-    /// Keep the waiting queue as a flat `Vec` re-sorted by
-    /// [`sort_by_reorder_ratio`] every round instead of the incremental
-    /// [`ReorderIndex`]. The two paths admit in the same order and emit
-    /// the same audit trail (modulo `IndexInvalidate` records); this
-    /// escape hatch exists to prove that equivalence and to measure the
-    /// index's win.
-    pub unindexed_reorder: bool,
 }
 
 impl VMlpConfig {
@@ -65,7 +59,6 @@ impl VMlpConfig {
             dt_policy: DtPolicy::Banded,
             trim_reservations: true,
             heal_fanout: 2,
-            unindexed_reorder: false,
         }
     }
 
@@ -84,10 +77,8 @@ impl Default for VMlpConfig {
 /// The volatility-aware MLP scheduler (Section III).
 pub struct VMlpScheduler {
     cfg: VMlpConfig,
-    /// Sort-based waiting queue; used (and non-empty) only when
-    /// `cfg.unindexed_reorder` is set.
-    queue: Vec<RequestInfo>,
-    /// Incremental waiting-queue index (the default path).
+    /// The waiting queue: per-(shard, type) arrival-ordered deques merged
+    /// lazily in reorder-ratio order (see [`crate::reorder_index`]).
     index: ReorderIndex,
     active: FastHashMap<RequestId, ActiveRequest>,
     /// Ordered hint set over future-planned, dependency-free nodes, so a
@@ -109,7 +100,6 @@ impl VMlpScheduler {
     pub fn with_config(cfg: VMlpConfig) -> Self {
         VMlpScheduler {
             cfg,
-            queue: Vec::new(),
             index: ReorderIndex::new(),
             active: FastHashMap::default(),
             delay_slots: DelaySlotIndex::default(),
@@ -249,289 +239,78 @@ impl VMlpScheduler {
         actions
     }
 
-    /// Revalidates the index's cached ratio terms against the profile
-    /// store, publishing each recompute as a metric tick and (when tracing)
-    /// an [`DecisionKind::IndexInvalidate`] record. These records exist
-    /// *only* on the indexed path — the sort recomputes everything every
-    /// round and has nothing to invalidate — so audit-trail equivalence
-    /// comparisons filter them out.
+    /// Opens a reorder-ranked round: revalidates the index's cached ratio
+    /// terms against the profile store — terms must be current before any
+    /// ranked pop, even with a single waiter — publishing each recompute
+    /// as a metric tick and (when tracing) a
+    /// [`DecisionKind::IndexInvalidate`] record, then names the request
+    /// the ranking put at the head of a contended queue.
     fn refresh_index_terms(&mut self, ctx: &SchedulerCtx<'_>) {
         let invalidated = self.index.refresh_terms(ctx);
-        if invalidated.is_empty() {
+        if !invalidated.is_empty() {
+            ctx.metrics.add(names::INDEX_INVALIDATIONS, invalidated.len() as u64);
+        }
+        if !ctx.audit.is_enabled() {
             return;
         }
-        ctx.metrics.add(names::INDEX_INVALIDATIONS, invalidated.len() as u64);
-        if ctx.audit.is_enabled() {
-            for (rtype, version) in invalidated {
+        for (rtype, version) in invalidated {
+            ctx.audit.record(
+                Decision::new(ctx.now, DecisionKind::IndexInvalidate, "profile-version-bump")
+                    .value(rtype.0 as f64)
+                    .rank(version as f64),
+            );
+        }
+        if self.index.len() > 1 {
+            if let Some((rank, head)) = self.index.peek_max(ctx.now) {
                 ctx.audit.record(
-                    Decision::new(ctx.now, DecisionKind::IndexInvalidate, "profile-version-bump")
-                        .value(rtype.0 as f64)
-                        .rank(version as f64),
+                    Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
+                        .request(head.id)
+                        .rank(rank)
+                        .value(self.index.len() as f64),
                 );
             }
         }
     }
 
-    /// The sequential admission round over the incremental index: pops
-    /// replace the sorted queue walk one-for-one (the lazy merge replays
-    /// the sort's exact order — see [`crate::reorder_index`]), and every
-    /// audit record matches the sort-based reference in
-    /// [`schedule`](Scheduler::schedule) reason-for-reason.
-    fn schedule_indexed(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        if self.index.is_empty() {
-            return Vec::new();
-        }
-        if self.cfg.reorder {
-            // Terms must be current before any ranked pop, even with a
-            // single waiter; the head record matches the sort path's
-            // len > 1 condition.
-            self.refresh_index_terms(ctx);
-            if self.index.len() > 1 && ctx.audit.is_enabled() {
-                if let Some((rank, head)) = self.index.peek_max(ctx.now) {
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                            .request(head.id)
-                            .rank(rank)
-                            .value(self.index.len() as f64),
-                    );
-                }
-            }
-        }
-
-        let mut plans = Vec::new();
-        let mut deferred: Vec<RequestInfo> = Vec::new();
-        let mut failures = 0usize;
-        while failures < mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-            let popped = if self.cfg.reorder {
-                self.index.pop_max(ctx.now).map(|(_, r)| r)
-            } else {
-                self.index.pop_min()
-            };
-            let Some(req) = popped else { break };
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(self.cfg.dt_policy, rt.volatility);
-            match plan_request(&req, &policy, &mut self.rr_cursor, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
-                None => {
-                    failures += 1;
-                    deferred.push(req);
-                    if self.cfg.queue_switch {
-                        ctx.metrics.inc(names::QUEUE_SWITCHES);
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                    } else {
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "head-of-line-block")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                        // Head-of-line blocking: everything still queued
-                        // simply stays in the index for the next round.
-                        break;
-                    }
-                }
-            }
-        }
-        // Deferred pops rejoin their home shard's type queue at the exact
-        // (arrival, id) position the pop removed them from.
-        for req in deferred {
-            let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
-            self.index.insert(req, shard);
-        }
-        plans
+    /// Files `req` in the waiting index under its home shard — the same
+    /// partition the parallel round scatters by. A deferred request
+    /// rejoins its type queue at the exact (arrival, id) position the pop
+    /// removed it from.
+    fn enqueue(&mut self, req: RequestInfo, ctx: &SchedulerCtx<'_>) {
+        let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
+        self.index.insert(req, shard);
     }
 
-    /// The parallel admission pass over the incremental index: same three
-    /// phases as the sorted variant in
-    /// [`schedule_parallel`](Scheduler::schedule_parallel), but each shard
-    /// worker pops its *detached* shard queues locally instead of receiving
-    /// a pre-sorted slice. Shard-local pop order is the global sorted
-    /// order restricted to the shard, so the merged outcome matches the
-    /// sorted pass record-for-record.
-    fn schedule_parallel_indexed(
+    /// The whole-cluster admission step of the sequential round and the
+    /// overflow pass: admits `req` and returns its plan, or counts and
+    /// records the deferral ("if this request is not totally assigned …
+    /// switch `r_i` with `r_{i+1}`") and returns `None`.
+    fn admit_or_defer(
         &mut self,
+        req: RequestInfo,
         ctx: &mut SchedulerCtx<'_>,
-        pool: &ShardPool,
-    ) -> Vec<RequestPlan> {
-        if self.index.is_empty() {
-            return Vec::new();
-        }
-
-        // Phase 1 — terms refresh plus the head-of-queue audit record,
-        // matching the sorted pass's global reorder.
-        if self.cfg.reorder {
-            self.refresh_index_terms(ctx);
-            if self.index.len() > 1 && ctx.audit.is_enabled() {
-                if let Some((rank, head)) = self.index.peek_max(ctx.now) {
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                            .request(head.id)
-                            .rank(rank)
-                            .value(self.index.len() as f64),
-                    );
-                }
-            }
-        }
-
-        // Phase 2 — detach each working shard's queues and plan on the
-        // pool. Workers drain their queues completely: a detached queue
-        // has no owner after the job, so even past the failure cap every
-        // remaining request is popped into the deferral list.
-        let shards = ctx.cluster.shard_count();
-        let mut wanted = vec![false; shards];
-        for (s, w) in wanted.iter_mut().enumerate() {
-            *w = self.index.shard_has_work(s);
-        }
-        let env = ctx.env();
-        let dt_policy = self.cfg.dt_policy;
-        let reorder = self.cfg.reorder;
+    ) -> Option<RequestPlan> {
+        let queue_switch = self.cfg.queue_switch;
+        let defer_reason = if queue_switch { "queue-switch" } else { "head-of-line-block" };
         let audit_on = ctx.audit.is_enabled();
-        // One shared terms snapshot, rebuilt only when a refresh changed a
-        // term — rounds fire per arrival, so a per-round rebuild plus a
-        // per-job deep clone were both measurable.
-        let terms = self.index.terms_table();
-        let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
-        let jobs: Vec<_> = by_shard
-            .into_iter()
-            .map(|(s, mut machines)| {
-                let mut queues = self.index.take_shard(s);
-                let terms = std::sync::Arc::clone(&terms);
-                move |_shard: usize| {
-                    let mut out = ShardPass::default();
-                    let mut failures = 0usize;
-                    loop {
-                        let at_cap = failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-                        let popped = if reorder {
-                            queues.pop_max(env.now, &terms).map(|(_, r)| r)
-                        } else {
-                            queues.pop_min()
-                        };
-                        let Some(req) = popped else { break };
-                        if at_cap {
-                            // Shard saturated for this round: everything
-                            // behind the cap rides to the overflow pass.
-                            out.deferred.push(req);
-                            continue;
-                        }
-                        let rt = env.catalog.request(req.rtype);
-                        let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(&req, &policy, &env, &mut machines) {
-                            Some(plan) => {
-                                if audit_on {
-                                    let root_budget = plan
-                                        .nodes
-                                        .first()
-                                        .map_or(0.0, |np| np.budget.as_millis_f64());
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::BudgetTier,
-                                            "banded-dt",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value())
-                                        .budget_ms(root_budget),
-                                    );
-                                }
-                                out.admitted.push((req, plan));
-                            }
-                            None => {
-                                failures += 1;
-                                if audit_on {
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::Defer,
-                                            "no-home-shard-slot",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value()),
-                                    );
-                                }
-                                out.deferred.push(req);
-                            }
-                        }
-                    }
-                    out
-                }
-            })
-            .collect();
-        let outcomes = pool.scatter(jobs);
-
-        // Phase 3a — barrier merge, fixed shard-index order.
-        let mut plans = Vec::new();
-        let mut overflow: Vec<RequestInfo> = Vec::new();
-        for out in outcomes {
-            for d in out.decisions {
-                ctx.audit.record(d);
-            }
-            for (req, plan) in out.admitted {
-                self.admit(req, plan.clone(), ctx);
-                plans.push(plan);
-            }
-            overflow.extend(out.deferred);
+        let rr_cursor = &mut self.rr_cursor;
+        let (plan, decision) = place_or_defer(
+            &req,
+            self.cfg.dt_policy,
+            &ctx.env(),
+            audit_on,
+            defer_reason,
+            |policy| plan_request(&req, policy, rr_cursor, ctx),
+        );
+        if let Some(d) = decision {
+            ctx.audit.record(d);
         }
-
-        // Phase 3b — sequential overflow pass, identical to the sorted
-        // variant: whole-cluster scan for requests their home shard could
-        // not host.
-        let mut deferred = Vec::new();
-        let mut failures = 0usize;
-        for (i, req) in overflow.iter().enumerate() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&overflow[i..]);
-                break;
-            }
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(*req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
-                None => {
-                    failures += 1;
-                    deferred.push(*req);
-                    ctx.metrics.inc(names::QUEUE_SWITCHES);
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                            .request(req.id)
-                            .vr(policy.vr.value()),
-                    );
-                }
-            }
+        match &plan {
+            Some(plan) => self.admit(req, plan.clone(), ctx),
+            None if queue_switch => ctx.metrics.inc(names::QUEUE_SWITCHES),
+            None => {}
         }
-        for req in deferred {
-            let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
-            self.index.insert(req, shard);
-        }
-        plans
+        plan
     }
 }
 
@@ -551,6 +330,34 @@ fn organizer_policy(dt_policy: DtPolicy, volatility: f64) -> OrganizerPolicy {
     }
 }
 
+/// Algorithm 1's per-request step, the one decision point of every round:
+/// size Δt by the request's volatility band, let `place` try to plan it
+/// (whole cluster or one shard), and describe the outcome — the Δt tier
+/// that shaped the plan (the band is a pure function of `V_r`, the root
+/// budget its output), or a deferral under `defer_reason`. The record is
+/// returned rather than written so shard workers can buffer theirs until
+/// the barrier; it is `None` when auditing is off.
+fn place_or_defer(
+    req: &RequestInfo,
+    dt_policy: DtPolicy,
+    env: &PlanEnv<'_>,
+    audit_on: bool,
+    defer_reason: &'static str,
+    place: impl FnOnce(&OrganizerPolicy) -> Option<RequestPlan>,
+) -> (Option<RequestPlan>, Option<Decision>) {
+    let policy = organizer_policy(dt_policy, env.catalog.request(req.rtype).volatility);
+    let plan = place(&policy);
+    let decision = audit_on.then(|| {
+        let d = match &plan {
+            Some(plan) => Decision::new(env.now, DecisionKind::BudgetTier, "banded-dt")
+                .budget_ms(plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64())),
+            None => Decision::new(env.now, DecisionKind::Defer, defer_reason),
+        };
+        d.request(req.id).vr(policy.vr.value())
+    });
+    (plan, decision)
+}
+
 /// Everything one shard worker produces during a parallel admission pass.
 /// Side effects (admissions, audit records, deferrals) are buffered here
 /// and applied at the barrier in shard-index order, so the merged outcome
@@ -568,126 +375,58 @@ impl Scheduler for VMlpScheduler {
     }
 
     fn on_arrival(&mut self, req: RequestInfo, ctx: &mut SchedulerCtx<'_>) {
-        if !self.cfg.unindexed_reorder {
-            // Default path: straight into the incremental index, under the
-            // request's home shard (the same partition the parallel
-            // admission pass scatters by).
-            let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
-            self.index.insert(req, shard);
-            return;
-        }
-        // Keep the queue sorted by (arrival, id) on insert: the FCFS
-        // ablation then needs no per-round sort at all, and the reorder
-        // sort's (arrival, id) tie-break makes its result independent of
-        // input order either way. (arrival, id) is a strict total order —
-        // ids are unique — so upper-bound insertion is exactly what the old
-        // per-round stable sort produced.
-        let key = (req.arrival, req.id);
-        let at = self.queue.partition_point(|r| (r.arrival, r.id) <= key);
-        self.queue.insert(at, req);
+        self.enqueue(req, ctx);
     }
 
+    /// The sequential admission round (Algorithm 1). Lines 1–2, the
+    /// machine status "refresh", are the ledger state itself, which
+    /// completions and trims keep current; the queue is walked by popping
+    /// the index — highest reorder ratio first, or oldest first under the
+    /// FCFS ablation.
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        if !self.cfg.unindexed_reorder {
-            return self.schedule_indexed(ctx);
+        if self.index.is_empty() {
+            return Vec::new();
         }
-        // --- Sort-based reference path (`unindexed_reorder`) -------------
-        // Line 1–2 of Algorithm 1: the machine status "refresh" is the
-        // ledger state itself, which completions and trims keep current.
-        // The queue is maintained in (arrival, id) order by `on_arrival`
-        // (deferrals below preserve it), so FCFS admits as-is; only the
-        // reorder ratio — a function of `now` — must be re-scored per round.
-        if self.cfg.reorder && self.queue.len() > 1 {
-            sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
-            if ctx.audit.is_enabled() {
-                // Name the request the sort moved to the head, with the
-                // rank that put it there.
-                let head = self.queue[0];
-                let rank = crate::reorder::reorder_ratio(&head, ctx.now, ctx);
-                ctx.audit.record(
-                    Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                        .request(head.id)
-                        .rank(rank)
-                        .value(self.queue.len() as f64),
-                );
-            }
+        if self.cfg.reorder {
+            self.refresh_index_terms(ctx);
         }
-
         let mut plans = Vec::new();
-        let mut deferred = Vec::new();
-        let pending = std::mem::take(&mut self.queue);
-        let mut idx = 0;
-        let mut failures = 0usize;
-        while idx < pending.len() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&pending[idx..]);
-                break;
-            }
-            let req = pending[idx];
-            idx += 1;
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = OrganizerPolicy {
-                vr: Volatility::new(rt.volatility),
-                sla_weight: OrganizerPolicy::DEFAULT_SLA_WEIGHT,
-                dt_policy: self.cfg.dt_policy,
-                horizon: SimDuration::from_secs(10),
+        let mut deferred: Vec<RequestInfo> = Vec::new();
+        while deferred.len() < MAX_ADMIT_TRIES_PER_ROUND {
+            let popped = if self.cfg.reorder {
+                self.index.pop_max(ctx.now).map(|(_, r)| r)
+            } else {
+                self.index.pop_min()
             };
-            match plan_request(&req, &policy, &mut self.rr_cursor, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        // The Δt tier that shaped this plan: the band is a
-                        // pure function of V_r, the root budget its output.
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
+            let Some(req) = popped else { break };
+            match self.admit_or_defer(req, ctx) {
+                Some(plan) => plans.push(plan),
                 None => {
-                    // "If this request is not totally assigned … switch
-                    // r_i with r_{i+1}": defer it and move on.
-                    failures += 1;
                     deferred.push(req);
-                    if self.cfg.queue_switch {
-                        ctx.metrics.inc(names::QUEUE_SWITCHES);
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                    } else {
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "head-of-line-block")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
+                    if !self.cfg.queue_switch {
                         // Head-of-line blocking ablation: stop admitting;
                         // everything behind the blocked head stays queued.
-                        deferred.extend_from_slice(&pending[idx..]);
                         break;
                     }
                 }
             }
         }
-        self.queue = deferred;
+        for req in deferred {
+            self.enqueue(req, ctx);
+        }
         plans
     }
 
     /// The parallel admission pass (DESIGN.md §16). Three phases:
     ///
-    /// 1. **Reorder** (sequential): the global reorder-ratio sort, exactly
-    ///    as in [`schedule`](Scheduler::schedule).
-    /// 2. **Shard-local placement** (on the pool): the sorted queue is
-    ///    partitioned by home shard (preserving relative order) and each
-    ///    shard worker plans its requests against *its own* machines via
-    ///    [`plan_request_in_shard`], buffering plans, deferrals, and audit
-    ///    records. Workers share no mutable state, so the per-shard
+    /// 1. **Reorder** (sequential): the terms refresh and head-of-queue
+    ///    record, exactly as in [`schedule`](Scheduler::schedule).
+    /// 2. **Shard-local placement** (on the pool): each shard with queued
+    ///    work has its queues *detached* from the index and a worker pops
+    ///    them — shard-local pop order is the global order restricted to
+    ///    the shard — planning against *its own* machines via
+    ///    [`plan_request_in_shard`] and buffering plans, deferrals, and
+    ///    audit records. Workers share no mutable state, so the per-shard
     ///    outcome is a pure function of the shard's inputs — identical at
     ///    any worker count.
     /// 3. **Barrier merge + overflow** (sequential): buffered effects are
@@ -711,104 +450,72 @@ impl Scheduler for VMlpScheduler {
         if shards <= 1 || !self.cfg.queue_switch {
             return self.schedule(ctx);
         }
-        if !self.cfg.unindexed_reorder {
-            return self.schedule_parallel_indexed(ctx, pool);
-        }
         // Admission rounds fire on every arrival while the queue is short,
-        // so most rounds see an empty or near-empty queue. Every phase
-        // below is a no-op on an empty queue (the reorder needs two
-        // entries, and no shard gets a job), so bail before paying for
-        // the fan-out scaffolding.
-        if self.queue.is_empty() {
+        // so most rounds see an empty queue: bail before paying for the
+        // fan-out scaffolding.
+        if self.index.is_empty() {
             return Vec::new();
         }
 
         // Phase 1 — reorder, exactly as the sequential pass does it.
-        if self.cfg.reorder && self.queue.len() > 1 {
-            sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
-            if ctx.audit.is_enabled() {
-                let head = self.queue[0];
-                let rank = crate::reorder::reorder_ratio(&head, ctx.now, ctx);
-                ctx.audit.record(
-                    Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                        .request(head.id)
-                        .rank(rank)
-                        .value(self.queue.len() as f64),
-                );
-            }
+        if self.cfg.reorder {
+            self.refresh_index_terms(ctx);
         }
 
-        // Phase 2 — partition by home shard and plan on the pool. Only
-        // shards with queued work get a scatter job: fanning out all `K`
-        // per round would pay O(shards + machines) in job scaffolding and
-        // machine-reference collection that a short queue never uses.
-        // The wanted-shard set is a pure function of queue content —
-        // never of worker timing — and jobs stay in ascending shard
-        // order, so the barrier merge order is unchanged.
-        let pending = std::mem::take(&mut self.queue);
-        let mut shard_queues: Vec<Vec<RequestInfo>> = Vec::with_capacity(shards);
-        shard_queues.resize_with(shards, Vec::new);
-        let mut wanted = vec![false; shards];
-        for req in pending {
-            let s = ctx.cluster.home_shard(req.id.0).0 as usize;
-            wanted[s] = true;
-            shard_queues[s].push(req);
-        }
-
+        // Phase 2 — detach each working shard's queues and plan on the
+        // pool. Only shards with queued work get a scatter job: fanning
+        // out all `K` per round would pay O(shards + machines) in job
+        // scaffolding that a short queue never uses. The wanted-shard set
+        // is a pure function of queue content — never of worker timing —
+        // and jobs stay in ascending shard order, so the barrier merge
+        // order is fixed.
+        let wanted: Vec<bool> = (0..shards).map(|s| self.index.shard_has_work(s)).collect();
         let env = ctx.env();
         let dt_policy = self.cfg.dt_policy;
+        let reorder = self.cfg.reorder;
         let audit_on = ctx.audit.is_enabled();
+        // One shared terms snapshot, rebuilt only when a refresh changed a
+        // term — rounds fire per arrival, so a per-round rebuild plus a
+        // per-job deep clone were both measurable.
+        let terms = self.index.terms_table();
         let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
         let jobs: Vec<_> = by_shard
             .into_iter()
             .map(|(s, mut machines)| {
-                let reqs = std::mem::take(&mut shard_queues[s]);
+                let mut queues = self.index.take_shard(s);
+                let terms = std::sync::Arc::clone(&terms);
                 move |_shard: usize| {
                     let mut out = ShardPass::default();
                     let mut failures = 0usize;
-                    for (i, req) in reqs.iter().enumerate() {
-                        if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
+                    // Drain the queues completely: a detached queue has no
+                    // owner after the job.
+                    loop {
+                        let popped = if reorder {
+                            queues.pop_max(env.now, &terms).map(|(_, r)| r)
+                        } else {
+                            queues.pop_min()
+                        };
+                        let Some(req) = popped else { break };
+                        if failures >= MAX_ADMIT_TRIES_PER_ROUND {
                             // Shard saturated for this round: everything
                             // behind the cap rides to the overflow pass.
-                            out.deferred.extend_from_slice(&reqs[i..]);
-                            break;
+                            out.deferred.push(req);
+                            continue;
                         }
-                        let rt = env.catalog.request(req.rtype);
-                        let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(req, &policy, &env, &mut machines) {
-                            Some(plan) => {
-                                if audit_on {
-                                    let root_budget = plan
-                                        .nodes
-                                        .first()
-                                        .map_or(0.0, |np| np.budget.as_millis_f64());
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::BudgetTier,
-                                            "banded-dt",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value())
-                                        .budget_ms(root_budget),
-                                    );
-                                }
-                                out.admitted.push((*req, plan));
-                            }
+                        let (plan, decision) = place_or_defer(
+                            &req,
+                            dt_policy,
+                            &env,
+                            audit_on,
+                            "no-home-shard-slot",
+                            |policy| plan_request_in_shard(&req, policy, &env, &mut machines),
+                        );
+                        out.decisions.extend(decision);
+                        match plan {
+                            Some(plan) => out.admitted.push((req, plan)),
                             None => {
                                 failures += 1;
-                                if audit_on {
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::Defer,
-                                            "no-home-shard-slot",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value()),
-                                    );
-                                }
-                                out.deferred.push(*req);
+                                out.deferred.push(req);
                             }
                         }
                     }
@@ -834,44 +541,19 @@ impl Scheduler for VMlpScheduler {
 
         // Phase 3b — sequential overflow pass: whole-cluster scan for
         // requests their home shard could not host (the cross-shard work
-        // stealing the shard-local phase deliberately forgoes).
-        let mut deferred = Vec::new();
+        // stealing the shard-local phase deliberately forgoes). Past the
+        // failure cap the rest requeue untried.
         let mut failures = 0usize;
-        for (i, req) in overflow.iter().enumerate() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&overflow[i..]);
-                break;
-            }
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(*req, plan.clone(), ctx);
+        for req in overflow {
+            if failures < MAX_ADMIT_TRIES_PER_ROUND {
+                if let Some(plan) = self.admit_or_defer(req, ctx) {
                     plans.push(plan);
+                    continue;
                 }
-                None => {
-                    failures += 1;
-                    deferred.push(*req);
-                    ctx.metrics.inc(names::QUEUE_SWITCHES);
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                            .request(req.id)
-                            .vr(policy.vr.value()),
-                    );
-                }
+                failures += 1;
             }
+            self.enqueue(req, ctx);
         }
-        self.queue = deferred;
         plans
     }
 
@@ -1229,16 +911,8 @@ impl Scheduler for VMlpScheduler {
     }
 
     fn waiting(&self) -> usize {
-        // Exactly one of the two structures is in use per config, but
-        // summing keeps this honest either way.
-        self.queue.len() + self.index.len()
+        self.index.len()
     }
-}
-
-/// Rolls back every reservation still held by an active request (used by
-/// engines that abort runs early).
-pub fn release_active_plan(plan: &RequestPlan, ctx: &mut SchedulerCtx<'_>) {
-    unreserve_plan(plan, ctx);
 }
 
 #[cfg(test)]

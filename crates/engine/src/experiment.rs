@@ -19,9 +19,7 @@
 use crate::config::ExperimentConfig;
 use crate::error::Error;
 use crate::profiling::warm_profiles;
-use crate::registry::{
-    default_registry, ParamValue, SchedulerParams, SchedulerRegistry, SchemeSpec,
-};
+use crate::registry::{default_registry, SchedulerParams, SchedulerRegistry, SchemeSpec};
 use crate::runner::{summarize, ExperimentResult};
 use crate::sim::{simulate, SimOutput};
 use mlp_model::RequestCatalog;
@@ -42,13 +40,12 @@ pub struct Experiment<'a> {
     config: ExperimentConfig,
     catalog: Option<&'a RequestCatalog>,
     registry: Option<&'a SchedulerRegistry>,
-    unindexed_dt: bool,
 }
 
 impl Experiment<'static> {
     /// Starts a builder from an in-memory config.
     pub fn from_config(config: ExperimentConfig) -> Self {
-        Experiment { config, catalog: None, registry: None, unindexed_dt: false }
+        Experiment { config, catalog: None, registry: None }
     }
 
     /// Starts a builder from a JSON config file (the `vmlp --config=FILE`
@@ -69,12 +66,7 @@ impl<'a> Experiment<'a> {
     where
         'a: 'b,
     {
-        Experiment {
-            config: self.config,
-            catalog: Some(catalog),
-            registry: self.registry,
-            unindexed_dt: self.unindexed_dt,
-        }
+        Experiment { config: self.config, catalog: Some(catalog), registry: self.registry }
     }
 
     /// Uses a caller-supplied [`SchedulerRegistry`] (typically
@@ -84,12 +76,7 @@ impl<'a> Experiment<'a> {
     where
         'a: 'b,
     {
-        Experiment {
-            config: self.config,
-            catalog: self.catalog,
-            registry: Some(registry),
-            unindexed_dt: self.unindexed_dt,
-        }
+        Experiment { config: self.config, catalog: self.catalog, registry: Some(registry) }
     }
 
     /// Replaces the scheme under test with `name` + typed `params`.
@@ -107,33 +94,6 @@ impl<'a> Experiment<'a> {
         self.registry.unwrap_or_else(|| default_registry()).validate_spec(&spec)?;
         self.config.scheme = spec;
         Ok(self)
-    }
-
-    /// Testing hook: forces every Δt percentile estimate through the
-    /// sort-based reference path instead of the banded index + memo.
-    /// Equivalence tests run the same config both ways and assert the
-    /// decision-audit trails (and results) are identical.
-    pub fn unindexed_dt(mut self, force: bool) -> Self {
-        self.unindexed_dt = force;
-        self
-    }
-
-    /// Testing hook: keeps the v-MLP waiting queue on the sort-based
-    /// reference path instead of the incremental reorder index. No-op for
-    /// the non-v-MLP schemes (they have no reorder queue). Equivalence
-    /// tests run the same config both ways and assert the decision-audit
-    /// trails (and results) are identical.
-    pub fn unindexed_reorder(mut self, force: bool) -> Self {
-        if self.config.scheme.name() == "vmlp" {
-            let params = self
-                .config
-                .scheme
-                .params()
-                .clone()
-                .with("unindexed_reorder", ParamValue::Bool(force));
-            self.config.scheme = SchemeSpec::with_params("vmlp", params);
-        }
-        self
     }
 
     /// Enables or disables the decision-audit trail.
@@ -269,9 +229,6 @@ impl<'a> Experiment<'a> {
         // engine records one case per completed span, and Δt estimation
         // cost is linear in the retained window.
         profiles.set_retention(config.profile_retention);
-        if self.unindexed_dt {
-            profiles.set_unindexed(true);
-        }
         let mix = config.mix.resolve(catalog);
         // The typed workload-parameter check needs the resolved mix, so it
         // runs here rather than in `validate()`; it still fires before any

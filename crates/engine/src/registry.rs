@@ -583,7 +583,6 @@ const VMLP_PARAM_KEYS: &[&str] = &[
     "trim_reservations",
     "heal_fanout",
     "dt_policy",
-    "unindexed_reorder",
 ];
 
 const SEARCH_PARAM_KEYS: &[&str] = &["neighborhood", "window", "iters", "round_budget", "margin"];
@@ -624,7 +623,6 @@ fn vmlp_config_from_params(params: &SchedulerParams) -> Result<VMlpConfig, Strin
     cfg.trim_reservations = params.bool_or("trim_reservations", cfg.trim_reservations)?;
     cfg.heal_fanout = params.usize_or("heal_fanout", cfg.heal_fanout)?;
     cfg.dt_policy = dt_policy_from_str(params.str_or("dt_policy", dt_policy_str(cfg.dt_policy))?)?;
-    cfg.unindexed_reorder = params.bool_or("unindexed_reorder", cfg.unindexed_reorder)?;
     Ok(cfg)
 }
 
@@ -658,9 +656,6 @@ pub(crate) fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
     }
     if cfg.dt_policy != paper.dt_policy {
         p = p.with("dt_policy", dt_policy_str(cfg.dt_policy));
-    }
-    if cfg.unindexed_reorder != paper.unindexed_reorder {
-        p = p.with("unindexed_reorder", cfg.unindexed_reorder);
     }
     p
 }

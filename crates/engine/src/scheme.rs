@@ -137,5 +137,15 @@ mod tests {
         assert_eq!(spec, SchemeSpec::parse("vmlp:healing=off").unwrap());
         let spec: SchemeSpec = serde_json::from_str("\"PartProfile\"").unwrap();
         assert_eq!(spec, Scheme::PartProfile.spec());
+        // A config written while the sort-based round was still selectable
+        // carries its flag; the field is ignored, the rest loads.
+        let legacy = format!(
+            "{},\"unindexed_reorder\":false}}}}",
+            js.strip_suffix("}}").expect("{\"VMlpCustom\":{…}}")
+        );
+        let back: Scheme = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, Scheme::VMlpCustom(VMlpConfig::without_healing()));
+        let spec: SchemeSpec = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(spec, SchemeSpec::parse("vmlp:healing=off").unwrap());
     }
 }

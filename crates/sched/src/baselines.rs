@@ -177,6 +177,41 @@ fn insert_by_deadline(queue: &mut Vec<RequestInfo>, req: RequestInfo, ctx: &Sche
     queue.insert(at, req);
 }
 
+/// One admission round over a deadline-sorted queue, shared by the two
+/// profile-driven baselines (they differ only in `policy`): plan in queue
+/// order, defer what finds no ledger slot, give up for the round after
+/// [`MAX_ADMIT_TRIES_PER_ROUND`] failures. Deferrals keep their relative
+/// order, so the queue stays deadline-sorted.
+fn admit_in_deadline_order(
+    queue: &mut Vec<RequestInfo>,
+    policy: &impl PlanPolicy,
+    rr_cursor: &mut usize,
+    ctx: &mut SchedulerCtx<'_>,
+) -> Vec<RequestPlan> {
+    let mut plans = Vec::new();
+    let mut deferred = Vec::new();
+    let pending = std::mem::take(queue);
+    let mut failures = 0usize;
+    for (i, req) in pending.iter().enumerate() {
+        if failures >= MAX_ADMIT_TRIES_PER_ROUND {
+            deferred.extend_from_slice(&pending[i..]);
+            break;
+        }
+        match plan_request(req, policy, rr_cursor, ctx) {
+            Some(plan) => plans.push(plan),
+            None => {
+                failures += 1;
+                ctx.audit.record(
+                    Decision::new(ctx.now, DecisionKind::Defer, "no-ledger-slot").request(req.id),
+                );
+                deferred.push(*req);
+            }
+        }
+    }
+    *queue = deferred;
+    plans
+}
+
 // ---------------------------------------------------------------------------
 // PartProfile — priority queue, placement by performance (time) profile.
 // ---------------------------------------------------------------------------
@@ -227,31 +262,7 @@ impl Scheduler for PartProfile {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        // The queue is deadline-sorted by construction (`on_arrival`
-        // inserts in order; deferrals below keep it).
-        let mut plans = Vec::new();
-        let mut deferred = Vec::new();
-        let pending = std::mem::take(&mut self.queue);
-        let mut failures = 0usize;
-        for (i, req) in pending.iter().enumerate() {
-            if failures >= MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&pending[i..]);
-                break;
-            }
-            match plan_request(req, &PartPolicy, &mut self.rr_cursor, ctx) {
-                Some(plan) => plans.push(plan),
-                None => {
-                    failures += 1;
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "no-ledger-slot")
-                            .request(req.id),
-                    );
-                    deferred.push(*req);
-                }
-            }
-        }
-        self.queue = deferred;
-        plans
+        admit_in_deadline_order(&mut self.queue, &PartPolicy, &mut self.rr_cursor, ctx)
     }
 
     fn waiting(&self) -> usize {
@@ -315,30 +326,7 @@ impl Scheduler for FullProfile {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        // Deadline-sorted by construction, exactly like `PartProfile`.
-        let mut plans = Vec::new();
-        let mut deferred = Vec::new();
-        let pending = std::mem::take(&mut self.queue);
-        let mut failures = 0usize;
-        for (i, req) in pending.iter().enumerate() {
-            if failures >= MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&pending[i..]);
-                break;
-            }
-            match plan_request(req, &FullPolicy, &mut self.rr_cursor, ctx) {
-                Some(plan) => plans.push(plan),
-                None => {
-                    failures += 1;
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "no-ledger-slot")
-                            .request(req.id),
-                    );
-                    deferred.push(*req);
-                }
-            }
-        }
-        self.queue = deferred;
-        plans
+        admit_in_deadline_order(&mut self.queue, &FullPolicy, &mut self.rr_cursor, ctx)
     }
 
     fn waiting(&self) -> usize {

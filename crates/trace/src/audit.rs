@@ -56,9 +56,7 @@ pub enum DecisionKind {
     /// The incremental reorder index recomputed one request type's cached
     /// ratio terms after a profile-store version bump. `value` carries the
     /// request-type id, `rank` the profile version that triggered the
-    /// recompute. Emitted only by the indexed queue path, so
-    /// schedule-equivalence comparisons against the sort-based path must
-    /// filter this kind out.
+    /// recompute.
     IndexInvalidate,
 }
 

@@ -133,8 +133,7 @@ pub mod names {
     /// Stretch healing actions suppressed under brownout tier ≥ 1.
     pub const OVERLOAD_STRETCHES_SUPPRESSED: &str = "overload_stretches_suppressed";
     /// Cached reorder-ratio terms recomputed after a profile-store version
-    /// bump (incremental reorder-index invalidations). Always 0 on the
-    /// sort-based queue path.
+    /// bump (incremental reorder-index invalidations).
     pub const INDEX_INVALIDATIONS: &str = "index_invalidations";
     /// Gauge: cluster pressure signal in [0, 1] at the latest tick.
     pub const OVERLOAD_PRESSURE: &str = "overload_pressure";

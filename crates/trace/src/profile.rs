@@ -99,11 +99,6 @@ pub struct ProfileStore {
     /// workers). Never serialized; cleared by `clone`.
     #[serde(skip)]
     memo: Mutex<FastHashMap<DeltaKey, (u64, f64)>>,
-    /// Debug escape hatch: `true` forces the historical sort-based Δt
-    /// path, bypassing the ranked index and the memo. Used by equivalence
-    /// tests to prove the fast path changes no scheduling decision.
-    #[serde(skip)]
-    force_unindexed: bool,
 }
 
 impl Clone for ProfileStore {
@@ -112,7 +107,6 @@ impl Clone for ProfileStore {
             histories: self.histories.clone(),
             retention: self.retention,
             memo: Mutex::new(FastHashMap::default()),
-            force_unindexed: self.force_unindexed,
         }
     }
 }
@@ -143,13 +137,6 @@ impl ProfileStore {
                 h.evict(overflow);
             }
         }
-    }
-
-    /// Forces the historical sort-based Δt path (debug/test aid; see
-    /// `memo`/`force_unindexed` docs). The fast path is exact, so toggling
-    /// this must not change any scheduling decision.
-    pub fn set_unindexed(&mut self, force: bool) {
-        self.force_unindexed = force;
     }
 
     /// The current retention cap (`0` = unbounded).
@@ -252,9 +239,6 @@ impl ProfileStore {
         if n == 0 {
             return fallback_ms;
         }
-        if self.force_unindexed {
-            return self.delta_t_ms_unindexed(service, x_percent, q, fallback_ms);
-        }
         let key: DeltaKey = (service.0, x_percent.to_bits(), q.to_bits());
         if let Ok(memo) = self.memo.lock() {
             if let Some(&(version, value)) = memo.get(&key) {
@@ -308,11 +292,9 @@ impl ProfileStore {
     /// `O(1)` off the ranked index when in sync (same `total_cmp` order,
     /// so the returned bits match the scan).
     pub fn min_exec_ms(&self, service: ServiceId) -> Option<f64> {
-        if !self.force_unindexed {
-            if let Some(h) = self.histories.get(&service.0) {
-                if h.ranked.len() == h.cases.len() {
-                    return h.ranked.min();
-                }
+        if let Some(h) = self.histories.get(&service.0) {
+            if h.ranked.len() == h.cases.len() {
+                return h.ranked.min();
             }
         }
         self.cases(service).iter().map(|c| c.exec_ms).min_by(|a, b| a.total_cmp(b))

@@ -217,101 +217,21 @@ fn parallel_sweep_is_deterministic() {
 }
 
 #[test]
-fn reorder_index_matches_sort_based_reference() {
-    // The waiting queue is served from the incremental reorder index (per-
-    // (shard, type) arrival-ordered deques, lazy head merge, versioned
-    // terms cache); the per-round `sort_by_reorder_ratio` survives behind
-    // `unindexed_reorder` as the reference. Equivalence must hold at the
-    // *schedule* level: the same config run both ways must produce
-    // identical results and — modulo the `IndexInvalidate` records only
-    // the indexed path emits — a decision-audit trail identical entry for
-    // entry, unsharded and sharded.
-    use v_mlp::trace::DecisionKind;
-    for shards in [1usize, 4] {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
-            .with_seed(17)
-            .with_shards(shards, ShardPolicy::RoundRobin);
-        let (idx_r, idx_out) =
-            Experiment::from_config(cfg.clone()).audit(true).run_full().expect("indexed path runs");
-        let (ref_r, ref_out) = Experiment::from_config(cfg)
-            .audit(true)
-            .unindexed_reorder(true)
-            .run_full()
-            .expect("sorted reference path runs");
-        let label = format!("shards={shards}");
-        assert_eq!(idx_r.completed, ref_r.completed, "{label}: completed");
-        assert_eq!(idx_r.latency_ms, ref_r.latency_ms, "{label}: latency percentiles");
-        assert_eq!(idx_r.violation_rate, ref_r.violation_rate, "{label}: violation rate");
-        assert_eq!(idx_r.healing, ref_r.healing, "{label}: healing counters");
-        assert_eq!(idx_r.mean_utilization, ref_r.mean_utilization, "{label}: utilization");
-        let idx_ds: Vec<_> = idx_out
-            .audit
-            .decisions()
-            .iter()
-            .filter(|d| d.kind != DecisionKind::IndexInvalidate)
-            .cloned()
-            .collect();
-        let ref_ds = ref_out.audit.decisions();
-        assert!(
-            ref_ds.iter().all(|d| d.kind != DecisionKind::IndexInvalidate),
-            "{label}: the sorted path must never emit index invalidations"
-        );
-        assert_eq!(idx_ds.len(), ref_ds.len(), "{label}: decision counts");
-        for (i, (a, b)) in idx_ds.iter().zip(ref_ds.iter()).enumerate() {
-            assert_eq!(a, b, "{label}: decision #{i} diverges between queue paths");
-        }
-    }
-}
-
-#[test]
-fn banded_dt_fast_path_matches_sort_based_reference() {
-    // The banded Δt estimate is served from the per-service rank index
-    // plus a (service, band, percentile) memo; the sort-based scan
-    // survives as a debug reference. Equivalence must hold at the
-    // *schedule* level, not just per estimate: the same config run both
-    // ways must produce identical results and a decision-audit trail
-    // identical entry for entry (every budget tier, defer, and admit) —
-    // unsharded and sharded, where the parallel round buffers decisions
-    // on the workers.
-    for shards in [1usize, 4] {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
-            .with_seed(17)
-            .with_shards(shards, ShardPolicy::RoundRobin);
-        let (fast_r, fast_out) =
-            Experiment::from_config(cfg.clone()).audit(true).run_full().expect("fast path runs");
-        let (ref_r, ref_out) = Experiment::from_config(cfg)
-            .audit(true)
-            .unindexed_dt(true)
-            .run_full()
-            .expect("reference path runs");
-        let label = format!("shards={shards}");
-        assert_eq!(fast_r.completed, ref_r.completed, "{label}: completed");
-        assert_eq!(fast_r.latency_ms, ref_r.latency_ms, "{label}: latency percentiles");
-        assert_eq!(fast_r.violation_rate, ref_r.violation_rate, "{label}: violation rate");
-        assert_eq!(fast_r.healing, ref_r.healing, "{label}: healing counters");
-        let fast_ds = fast_out.audit.decisions();
-        let ref_ds = ref_out.audit.decisions();
-        assert_eq!(fast_ds.len(), ref_ds.len(), "{label}: decision counts");
-        for (i, (a, b)) in fast_ds.iter().zip(ref_ds.iter()).enumerate() {
-            assert_eq!(a, b, "{label}: decision #{i} diverges between Δt paths");
-        }
-    }
-}
-
-#[test]
 fn vmlp_schedules_are_pinned() {
-    // The schedule-level pin for the v-MLP admission round: the full result
-    // and the decision trail of fixed-seed runs, digested. The constants
-    // were recorded on the commit that still carried the sort-based
-    // reference round (which these runs matched record for record), so any
-    // change to admission order, Δt budgets, deferrals or their audit
-    // records moves a digest. Covered: the sequential round (shards = 1,
-    // and the head-of-line ablation at any shard count), the parallel
-    // round (shards = 4) and the FCFS pop path — each at the smoke rate,
-    // where every request is admitted on its first try, and at ten times
-    // it, where the trail is mostly `Defer` and `Reorder` records (queue
-    // switches, home-shard misses, the overflow pass and the per-round
-    // failure cap all fire).
+    // The schedule-level pin for the v-MLP admission round: the serialized
+    // result and decision trail of fixed-seed runs, digested, so any change
+    // to admission order, Δt budgets, deferrals or their audit records
+    // moves a digest. The constants were recorded on the commit that still
+    // had the sort-based round and the sort-based Δt path as run-time
+    // options; both matched these runs record for record, and the
+    // `reorder_index` and `profile` unit suites keep checking each pop and
+    // each estimate against those references. Covered: the sequential round
+    // (shards = 1, and the head-of-line ablation at any shard count), the
+    // parallel round (shards = 4) and the FCFS pop path — each at the smoke
+    // rate, where every request is admitted on its first try, and at ten
+    // times it, where the trail is mostly `Defer` and `Reorder` records
+    // (queue switches, home-shard misses, the overflow pass and the
+    // per-round failure cap all fire).
     use std::hash::Hasher;
     use v_mlp::sim::FastHasher;
     const PINS: [(&str, usize, f64, u64); 12] = [

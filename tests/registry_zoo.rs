@@ -134,19 +134,27 @@ fn malformed_spec_shapes_are_parse_errors() {
     assert!(err.contains("twice"), "{err}");
 }
 
-/// Unknown params surface as `InvalidConfig` (exit 2) listing the
-/// scheduler's known params, through the Experiment builder.
+/// Unknown params surface as `InvalidConfig` (exit 2) naming the key and
+/// listing the scheduler's known params, through the Experiment builder —
+/// a typo and a knob that no longer exists (the sort-based round's
+/// selector) alike.
 #[test]
 fn unknown_params_are_typed_config_errors() {
-    let err = match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
-        .scheme_spec("vmlp:warpdrive=9")
+    for (spec, key) in
+        [("vmlp:warpdrive=9", "warpdrive"), ("vmlp:unindexed_reorder=true", "unindexed_reorder")]
     {
-        Ok(_) => panic!("unknown param must be rejected"),
-        Err(e) => e,
-    };
-    assert_eq!(err.exit_code(), 2);
-    let msg = err.to_string();
-    assert!(msg.contains("warpdrive") && msg.contains("known params"), "{msg}");
+        let err = match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+            .scheme_spec(spec)
+        {
+            Ok(_) => panic!("{spec}: unknown param must be rejected"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, Error::InvalidConfig(_)), "{spec}: {err:?}");
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("`{key}`")), "{msg}");
+        assert!(msg.contains("known params") && msg.contains("queue_switch"), "{msg}");
+    }
 }
 
 /// Empty and truncated sweep files are `InvalidConfig` (exit 2), never a
