@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlp_bench::Scale;
 use mlp_engine::experiment::Experiment;
 use mlp_engine::profiling::warm_profiles;
-use mlp_engine::scheme::Scheme;
+use mlp_engine::PAPER_SCHEMES;
 use mlp_model::RequestCatalog;
 use mlp_sim::SimRng;
 use mlp_workload::{generate_stream, WorkloadPattern};
@@ -14,8 +14,8 @@ use mlp_workload::{generate_stream, WorkloadPattern};
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate_tiny");
     g.sample_size(10);
-    for scheme in Scheme::PAPER {
-        g.bench_with_input(BenchmarkId::from_parameter(scheme.label()), &scheme, |b, &s| {
+    for scheme in PAPER_SCHEMES {
+        g.bench_with_input(BenchmarkId::from_parameter(scheme), &scheme, |b, &s| {
             let cfg = Scale::tiny().config(s);
             b.iter(|| Experiment::from_config(cfg.clone()).run().unwrap());
         });

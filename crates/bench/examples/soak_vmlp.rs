@@ -2,7 +2,6 @@
 //! so a sampling profiler sees only the scheme under test. Not a figure.
 
 use mlp_bench::{fig_soak, Scale};
-use mlp_engine::scheme::Scheme;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--scale=paper") {
@@ -11,6 +10,6 @@ fn main() {
         Scale::small()
     };
     let requests = fig_soak::request_target(&scale);
-    let p = fig_soak::data_point(Scheme::VMlp, requests, 2022);
+    let p = fig_soak::data_point("vmlp", requests, 2022);
     println!("{}: {:.1} µs/req over {} arrivals", p.scheme, p.wall_us_per_req, p.arrived);
 }

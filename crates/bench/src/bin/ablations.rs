@@ -3,34 +3,26 @@
 //! reports tails, violations, utilization, and healing activity.
 
 use mlp_bench::evalrun::{run_cells, Cell};
-use mlp_core::organizer::DtPolicy;
-use mlp_core::VMlpConfig;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_workload::WorkloadPattern;
 
 fn main() {
     let scale = mlp_bench::scale_from_args();
     eprintln!("running v-MLP ablations at --scale={} …", scale.label);
-    let full = VMlpConfig::paper();
-    let variants: Vec<(&str, VMlpConfig)> = vec![
-        ("full v-MLP", full),
-        ("no healing", VMlpConfig::without_healing()),
-        ("no delay slot", VMlpConfig { delay_slot: false, ..full }),
-        ("no stretch", VMlpConfig { resource_stretch: false, ..full }),
-        ("no reorder (FCFS)", VMlpConfig { reorder: false, ..full }),
-        ("no queue switch", VMlpConfig { queue_switch: false, ..full }),
-        ("no reservation trim", VMlpConfig { trim_reservations: false, ..full }),
-        ("Δt = always mean", VMlpConfig { dt_policy: DtPolicy::AlwaysMean, ..full }),
-        ("Δt = always p99", VMlpConfig { dt_policy: DtPolicy::AlwaysP99, ..full }),
+    let variants = [
+        ("full v-MLP", "vmlp"),
+        ("no healing", "vmlp:healing=off"),
+        ("no delay slot", "vmlp:delay_slot=off"),
+        ("no stretch", "vmlp:resource_stretch=off"),
+        ("no reorder (FCFS)", "vmlp:reorder=off"),
+        ("no queue switch", "vmlp:queue_switch=off"),
+        ("no reservation trim", "vmlp:trim_reservations=off"),
+        ("Δt = always mean", "vmlp:dt_policy=always-mean"),
+        ("Δt = always p99", "vmlp:dt_policy=always-p99"),
     ];
     let cells: Vec<Cell> = variants
         .iter()
-        .map(|(_, cfg)| Cell {
-            scheme: Scheme::VMlpCustom(*cfg).into(),
-            pattern: WorkloadPattern::L2Fluctuating,
-            ..Cell::new(Scheme::VMlp)
-        })
+        .map(|&(_, spec)| Cell { pattern: WorkloadPattern::L2Fluctuating, ..Cell::new(spec) })
         .collect();
     let results = run_cells(scale, &cells, 2022);
     let rows: Vec<Vec<String>> = variants

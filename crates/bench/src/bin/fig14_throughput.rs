@@ -14,7 +14,7 @@ fn main() {
         // Audited companion run: the sweep's most contended cell (v-MLP at
         // the 50% high-V_r mid-point of the ratio axis).
         let cfg = scale
-            .config(mlp_engine::scheme::Scheme::VMlp)
+            .config("vmlp")
             .with_pattern(mlp_workload::WorkloadPattern::Constant)
             .with_mix(mlp_engine::config::MixSpec::HighRatio(0.5));
         mlp_bench::audit_run(cfg, &path);

@@ -123,12 +123,11 @@ fn average(scheme: String, runs: &[ExperimentResult]) -> AvgResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_engine::scheme::Scheme;
 
     #[test]
     fn runs_and_averages_two_schemes() {
         let scale = Scale::tiny();
-        let cells = [Cell::new(Scheme::FairSched), Cell::new(Scheme::VMlp)];
+        let cells = [Cell::new("fairsched"), Cell::new("vmlp")];
         let res = run_cells(scale, &cells, 77);
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].scheme, "FairSched");

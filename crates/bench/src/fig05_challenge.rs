@@ -3,11 +3,11 @@
 
 use mlp_engine::report;
 use mlp_engine::scenario::run_challenge;
-use mlp_engine::scheme::Scheme;
+use mlp_engine::PAPER_SCHEMES;
 
 /// Renders the challenge outcomes for every scheme.
 pub fn report(seed: u64) -> String {
-    let rows: Vec<Vec<String>> = Scheme::PAPER
+    let rows: Vec<Vec<String>> = PAPER_SCHEMES
         .into_iter()
         .map(|s| {
             let o = run_challenge(s, seed);

@@ -8,7 +8,7 @@
 use crate::evalrun::{run_cells, Cell};
 use crate::scale::Scale;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
+use mlp_engine::PAPER_SCHEMES;
 use mlp_stats::TimeSeries;
 use mlp_workload::WorkloadPattern;
 
@@ -19,7 +19,7 @@ pub const PEAK_AT_S: f64 = 40.0;
 /// 100 s so the 40 s peak and the recovery window are both visible.
 pub fn data(scale: Scale, seed: u64) -> Vec<(String, TimeSeries)> {
     let scale = Scale { horizon_s: scale.horizon_s.max(100.0), ..scale };
-    let cells: Vec<Cell> = Scheme::PAPER
+    let cells: Vec<Cell> = PAPER_SCHEMES
         .into_iter()
         .map(|scheme| Cell { pattern: WorkloadPattern::L1Pulse, ..Cell::new(scheme) })
         .collect();
@@ -71,14 +71,13 @@ pub fn report(scale: Scale, seed: u64) -> String {
 mod tests {
     use super::*;
     use crate::evalrun::{run_cells, Cell};
-    use mlp_engine::scheme::Scheme;
 
     #[test]
     fn peak_raises_utilization_for_everyone() {
         // Needs the full 100 s horizon to see the 40 s peak.
         let scale = Scale { machines: 4, max_rate: 28.0, horizon_s: 100.0, seeds: 1, label: "t" };
         // Two representative schemes keep the debug-mode test quick.
-        let cells = [Cell::new(Scheme::FairSched), Cell::new(Scheme::VMlp)];
+        let cells = [Cell::new("fairsched"), Cell::new("vmlp")];
         let curves: Vec<(String, mlp_stats::TimeSeries)> =
             run_cells(scale, &cells, 4).into_iter().map(|r| (r.scheme, r.util_series)).collect();
         for (scheme, ts) in curves {

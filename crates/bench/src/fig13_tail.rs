@@ -10,7 +10,7 @@ use crate::evalrun::{run_cells, Cell};
 use crate::scale::Scale;
 use mlp_engine::config::MixSpec;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
+use mlp_engine::PAPER_SCHEMES;
 use mlp_model::VolatilityClass;
 use mlp_workload::WorkloadPattern;
 
@@ -24,7 +24,7 @@ pub fn data(scale: Scale, seed: u64) -> Vec<Vec<Vec<(f64, f64)>>> {
     let mut cells = Vec::new();
     for pattern in WorkloadPattern::PAPER {
         for class in CLASSES {
-            for scheme in Scheme::PAPER {
+            for scheme in PAPER_SCHEMES {
                 cells.push(Cell {
                     scheme: scheme.into(),
                     pattern,
@@ -35,7 +35,7 @@ pub fn data(scale: Scale, seed: u64) -> Vec<Vec<Vec<(f64, f64)>>> {
         }
     }
     let results = run_cells(scale, &cells, seed);
-    let mut it = results.chunks(Scheme::PAPER.len());
+    let mut it = results.chunks(PAPER_SCHEMES.len());
     WorkloadPattern::PAPER
         .iter()
         .map(|_| {
@@ -91,7 +91,7 @@ mod tests {
     /// exactly 1.0 by construction, and v-MLP's raw p99 is positive.
     #[test]
     fn fairsched_is_the_unit_baseline() {
-        let cells: Vec<Cell> = [Scheme::FairSched, Scheme::VMlp]
+        let cells: Vec<Cell> = ["fairsched", "vmlp"]
             .into_iter()
             .map(|scheme| Cell {
                 scheme: scheme.into(),

@@ -10,19 +10,19 @@
 use crate::scale::Scale;
 use mlp_engine::config::ExperimentConfig;
 use mlp_engine::parallel::run_all;
+use mlp_engine::registry::SchemeSpec;
 use mlp_engine::report;
 use mlp_engine::runner::ExperimentResult;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
 use mlp_faults::FaultConfig;
 
 /// Schemes compared under the storm, figure order (the default sweep;
 /// `sweeps/faults.json` commits the same list).
-pub const SCHEMES: [Scheme; 3] = [Scheme::CurSched, Scheme::FullProfile, Scheme::VMlp];
+pub const SCHEMES: [&str; 3] = ["cursched", "fullprofile", "vmlp"];
 
 /// The default storm sweep as a [`SweepConfig`].
 pub fn default_sweep() -> SweepConfig {
-    SweepConfig::new(SCHEMES.iter().map(|s| s.spec()).collect())
+    SweepConfig::new(SCHEMES.into_iter().map(SchemeSpec::from).collect())
 }
 
 /// A storm proportioned to the run: it opens at 20 % of the horizon, rages
@@ -55,7 +55,7 @@ pub fn data_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> Vec<Experimen
         .iter()
         .map(|s| scale.config(s.clone()).with_seed(seed).with_faults(storm))
         .collect();
-    configs.push(scale.config(Scheme::VMlp).with_seed(seed));
+    configs.push(scale.config("vmlp").with_seed(seed));
     run_all(&configs, 4)
 }
 

@@ -14,7 +14,6 @@ use mlp_cluster::ShardPolicy;
 use mlp_engine::config::ExperimentConfig;
 use mlp_engine::experiment::Experiment;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_trace::metrics::names;
 use serde::Serialize;
 use std::time::Instant;
@@ -94,7 +93,7 @@ pub fn config_for(machines: usize, workers: usize, seed: u64) -> ExperimentConfi
         machines,
         max_rate: RATE_PER_MACHINE * machines as f64,
         horizon_s: HORIZON_S,
-        ..ExperimentConfig::paper_default(Scheme::VMlp)
+        ..ExperimentConfig::paper_default("vmlp")
     }
     .with_seed(seed)
     .with_shards(shards_for(machines), ShardPolicy::RoundRobin)

@@ -15,7 +15,6 @@
 
 use crate::scale::Scale;
 use mlp_engine::config::ExperimentConfig;
-use mlp_engine::scheme::Scheme;
 use mlp_serve::loadgen::{self, LoadgenConfig};
 use mlp_serve::{ServeConfig, Server};
 use mlp_trace::metrics::names;
@@ -107,7 +106,7 @@ pub struct ServePoint {
 pub fn run(scale: &Scale, seed: u64) -> ServePoint {
     let s = ServeScale::from_scale(scale);
     let experiment =
-        ExperimentConfig { machines: s.machines, ..ExperimentConfig::paper_default(Scheme::VMlp) }
+        ExperimentConfig { machines: s.machines, ..ExperimentConfig::paper_default("vmlp") }
             .with_seed(seed)
             .with_stream_stats(true)
             .with_profile_retention(512)

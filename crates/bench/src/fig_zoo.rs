@@ -25,8 +25,8 @@ use mlp_engine::config::{ExperimentConfig, MixSpec};
 use mlp_engine::experiment::Experiment;
 use mlp_engine::registry::SchemeSpec;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
+use mlp_engine::PAPER_SCHEMES;
 use mlp_model::RequestCatalog;
 use mlp_workload::patterns::WorkloadPattern;
 use serde::Serialize;
@@ -34,7 +34,7 @@ use serde::Serialize;
 /// The default zoo: the five paper schemes, the healing-off ablation,
 /// and the local-search contender.
 pub fn default_sweep() -> SweepConfig {
-    let mut schemes: Vec<SchemeSpec> = Scheme::PAPER.iter().map(|s| s.spec()).collect();
+    let mut schemes: Vec<SchemeSpec> = PAPER_SCHEMES.into_iter().map(SchemeSpec::from).collect();
     schemes.push(SchemeSpec::parse("vmlp:healing=off").expect("static spec parses"));
     schemes.push(SchemeSpec::named("searchsched"));
     SweepConfig::new(schemes)

@@ -52,7 +52,6 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_engine::scheme::Scheme;
 
     #[test]
     fn scales_preserve_per_machine_regime() {
@@ -65,7 +64,7 @@ mod tests {
 
     #[test]
     fn config_carries_scale() {
-        let c = Scale::tiny().config(Scheme::VMlp);
+        let c = Scale::tiny().config("vmlp");
         assert_eq!(c.machines, 8);
         assert_eq!(c.max_rate, 40.0);
     }

@@ -4,7 +4,7 @@
 use mlp_cluster::ControllerTool;
 use mlp_core::parallelism::ParallelismLevel;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
+use mlp_engine::PAPER_SCHEMES;
 use mlp_model::{RequestCatalog, ResourceKind};
 
 /// Table I — ILP vs TLP vs MLP vs RLP.
@@ -86,19 +86,18 @@ pub fn table5() -> String {
 
 /// Table VI — evaluated scheduling schemes.
 pub fn table6() -> String {
-    let desc = |s: Scheme| match s {
-        Scheme::FairSched => ("Simple", "FCFS, allocate equal resource"),
-        Scheme::CurSched => ("Simple", "FCFS, allocate by current load"),
-        Scheme::PartProfile => ("Advanced", "Prior., allocate by performance profile"),
-        Scheme::FullProfile => ("Advanced", "Prior., allocate by overall profile"),
-        Scheme::VMlp => ("MLP Scheme", "Our proposal (v-MLP)"),
-        Scheme::VMlpCustom(_) => ("MLP Scheme", "ablated v-MLP"),
-    };
-    let rows: Vec<Vec<String>> = Scheme::PAPER
+    let rows: Vec<Vec<String>> = PAPER_SCHEMES
         .into_iter()
-        .map(|s| {
-            let (cat, d) = desc(s);
-            vec![cat.to_string(), s.label().to_string(), d.to_string()]
+        .map(|name| {
+            let (cat, d) = match name {
+                "FairSched" => ("Simple", "FCFS, allocate equal resource"),
+                "CurSched" => ("Simple", "FCFS, allocate by current load"),
+                "PartProfile" => ("Advanced", "Prior., allocate by performance profile"),
+                "FullProfile" => ("Advanced", "Prior., allocate by overall profile"),
+                "v-MLP" => ("MLP Scheme", "Our proposal (v-MLP)"),
+                other => unreachable!("{other} is not a Table VI scheme"),
+            };
+            vec![cat.to_string(), name.to_string(), d.to_string()]
         })
         .collect();
     report::table("Table VI — evaluated schemes", &["category", "scheme", "description"], &rows)

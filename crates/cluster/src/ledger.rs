@@ -14,7 +14,7 @@
 //! prefix from the lowest modified index using the exact left-to-right
 //! fold `prefix[i] = prefix[i-1] + delta[i]` (identical float-addition
 //! order to a naive rescan from `base`, so every query answer is
-//! bit-identical to the reference [`NaiveLedger`](crate::ledger_naive::NaiveLedger)).
+//! bit-identical to the test-only reference `NaiveLedger`).
 //! On top of the profile sit coarse-bucket component-wise min/max
 //! summaries (`BUCKET` levels per bucket) and a cached whole-timeline
 //! minimum level:

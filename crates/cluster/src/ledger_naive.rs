@@ -4,11 +4,7 @@
 //! query rescans the timeline from `base`. It is kept verbatim as the
 //! *behavioral oracle* for the indexed [`ResourceLedger`](crate::ResourceLedger):
 //! property tests drive both with identical operation sequences and demand
-//! bit-identical answers, and the `perf_baseline` runner times the two
-//! side-by-side so the committed `BENCH_sim.json` records the speedup.
-//!
-//! Do not use this in scheduling paths; it exists only for verification
-//! and benchmarking.
+//! bit-identical answers. It is compiled only for this crate's tests.
 
 use mlp_model::ResourceVector;
 use mlp_sim::SimTime;
@@ -29,11 +25,6 @@ impl NaiveLedger {
     /// Creates an empty ledger for a machine with the given capacity.
     pub fn new(capacity: ResourceVector) -> Self {
         NaiveLedger { capacity, deltas: BTreeMap::new(), base: ResourceVector::ZERO }
-    }
-
-    /// Machine capacity.
-    pub fn capacity(&self) -> ResourceVector {
-        self.capacity
     }
 
     /// Adds a reservation of `amount` over `[from, to)`.

@@ -9,7 +9,8 @@
 
 pub mod controller;
 pub mod ledger;
-pub mod ledger_naive;
+#[cfg(test)]
+mod ledger_naive;
 pub mod machine;
 pub mod monitor;
 pub mod pool;
@@ -17,7 +18,6 @@ pub mod shard;
 
 pub use controller::{proportional_satisfaction, ControllerTool};
 pub use ledger::ResourceLedger;
-pub use ledger_naive::NaiveLedger;
 pub use machine::{Cluster, GrantId, Machine, MachineId};
 pub use monitor::{MonitorTool, UsageMonitor};
 pub use pool::ShardPool;

@@ -18,9 +18,9 @@
 //! `workers == 1` is pure inline execution on the calling thread — no
 //! threads, no channels — so a single-worker run is not merely
 //! *equivalent* to the sequential code, it **is** the sequential code.
-//! For `workers > 1` the fan-out grows the `run_all` idiom from
-//! `mlp-engine`: scoped threads pull job indices from a shared counter
-//! and send `(index, result)` pairs over a channel. Scoped threads make
+//! For `workers > 1` scoped threads pull job indices from a shared counter
+//! and send `(index, result)` pairs over a channel; `mlp-engine`'s
+//! experiment sweeps fan out through the same pool. Scoped threads make
 //! borrowed job closures sound without `unsafe`: the scope joins every
 //! worker before `scatter` returns, so borrows of shard machine slices
 //! cannot outlive the call.

@@ -35,9 +35,9 @@ impl MixSpec {
 /// Full description of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentConfig {
-    /// Scheduling scheme under test, by registry spec. Accepts the legacy
-    /// `Scheme` enum values via `Into`, spec strings (`"vmlp:healing=off"`),
-    /// and explicit [`SchemeSpec`]s.
+    /// Scheduling scheme under test, by registry spec. The constructors
+    /// accept spec strings (`"vmlp:healing=off"`, `"FairSched"`) and
+    /// explicit [`SchemeSpec`]s.
     pub scheme: SchemeSpec,
     /// Number of machines (the paper simulates 100).
     pub machines: usize,
@@ -373,12 +373,11 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
     use mlp_model::RequestCatalog;
 
     #[test]
     fn paper_default_matches_section5() {
-        let c = ExperimentConfig::paper_default(Scheme::VMlp);
+        let c = ExperimentConfig::paper_default("vmlp");
         assert_eq!(c.machines, 100);
         assert_eq!(c.max_rate, 1000.0);
         assert_eq!(c.horizon_s, 100.0);
@@ -386,7 +385,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = ExperimentConfig::small(Scheme::FairSched)
+        let c = ExperimentConfig::small("fairsched")
             .with_pattern(WorkloadPattern::L3PeriodicWide)
             .with_seed(7)
             .with_rate(120.0)
@@ -412,7 +411,7 @@ mod tests {
 
     #[test]
     fn two_tier_cluster_built_from_config() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp).with_small_tier(3, 0.5);
+        let c = ExperimentConfig::smoke("vmlp").with_small_tier(3, 0.5);
         let cluster = c.build_cluster();
         assert_eq!(cluster.len(), 8);
         let big = cluster.machine(mlp_cluster::MachineId(0)).capacity;
@@ -422,7 +421,7 @@ mod tests {
 
     #[test]
     fn config_serializes() {
-        let c = ExperimentConfig::smoke(Scheme::PartProfile);
+        let c = ExperimentConfig::smoke("partprofile");
         let js = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
         assert_eq!(back, c);
@@ -430,7 +429,7 @@ mod tests {
 
     #[test]
     fn configs_predating_audit_and_fault_fields_still_load() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp);
+        let c = ExperimentConfig::smoke("vmlp");
         let serde_json::Value::Object(entries) = serde_json::to_value(&c).unwrap() else {
             panic!("config serializes to an object")
         };
@@ -475,7 +474,7 @@ mod tests {
 
     #[test]
     fn sharded_config_roundtrips_and_builds_partitioned_cluster() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp).with_shards(4, ShardPolicy::CapacityBalanced);
+        let c = ExperimentConfig::smoke("vmlp").with_shards(4, ShardPolicy::CapacityBalanced);
         let js = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
         assert_eq!(back, c);
@@ -483,8 +482,8 @@ mod tests {
         assert_eq!(cluster.shard_count(), 4);
         assert!(cluster.shards().check_partition(cluster.machines()).is_ok());
         // Defaults build a single shard, and shards is clamped to machines.
-        assert_eq!(ExperimentConfig::smoke(Scheme::VMlp).build_cluster().shard_count(), 1);
-        let over = ExperimentConfig::smoke(Scheme::VMlp)
+        assert_eq!(ExperimentConfig::smoke("vmlp").build_cluster().shard_count(), 1);
+        let over = ExperimentConfig::smoke("vmlp")
             .with_shards(1000, ShardPolicy::RoundRobin)
             .build_cluster();
         assert_eq!(over.shard_count(), 8, "clamped to the machine count");
@@ -492,7 +491,7 @@ mod tests {
 
     #[test]
     fn faults_default_disabled_and_roundtrip() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp);
+        let c = ExperimentConfig::smoke("vmlp");
         assert!(!c.faults.is_active());
         let stormy = c.with_faults(FaultConfig::storm());
         assert!(stormy.faults.is_active());

@@ -7,9 +7,9 @@
 //! up front and returns a typed [`Error`] instead of panicking:
 //!
 //! ```
-//! use mlp_engine::{Experiment, ExperimentConfig, Scheme};
+//! use mlp_engine::{Experiment, ExperimentConfig};
 //!
-//! let result = Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+//! let result = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
 //!     .audit(true)
 //!     .run()
 //!     .expect("smoke config is valid");
@@ -19,7 +19,7 @@
 use crate::config::ExperimentConfig;
 use crate::error::Error;
 use crate::profiling::warm_profiles;
-use crate::registry::{default_registry, SchedulerParams, SchedulerRegistry, SchemeSpec};
+use crate::registry::{default_registry, SchedulerRegistry, SchemeSpec};
 use crate::runner::{summarize, ExperimentResult};
 use crate::sim::{simulate, SimOutput};
 use mlp_model::RequestCatalog;
@@ -77,12 +77,6 @@ impl<'a> Experiment<'a> {
         'a: 'b,
     {
         Experiment { config: self.config, catalog: self.catalog, registry: Some(registry) }
-    }
-
-    /// Replaces the scheme under test with `name` + typed `params`.
-    pub fn scheme(mut self, name: &str, params: SchedulerParams) -> Self {
-        self.config.scheme = SchemeSpec::with_params(name, params);
-        self
     }
 
     /// Replaces the scheme under test from a spec string like
@@ -311,11 +305,10 @@ impl<'a> Experiment<'a> {
 mod tests {
     use super::*;
     use crate::config::MixSpec;
-    use crate::scheme::Scheme;
 
     #[test]
     fn builder_runs_and_matches_direct_pipeline() {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(11);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(11);
         let catalog = RequestCatalog::paper();
         let a = Experiment::from_config(cfg.clone()).catalog(&catalog).run().unwrap();
         let b = Experiment::from_config(cfg).run().unwrap();
@@ -326,7 +319,7 @@ mod tests {
 
     #[test]
     fn setters_override_config_flags() {
-        let e = Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+        let e = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
             .audit(true)
             .auditor(false)
             .shards(2, mlp_cluster::ShardPolicy::CapacityBalanced);
@@ -340,7 +333,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected_before_running() {
-        let base = ExperimentConfig::smoke(Scheme::VMlp);
+        let base = ExperimentConfig::smoke("vmlp");
         let cases: Vec<(ExperimentConfig, &str)> = vec![
             (ExperimentConfig { machines: 0, ..base.clone() }, "machines"),
             (ExperimentConfig { max_rate: 0.0, ..base.clone() }, "max_rate"),
@@ -379,7 +372,7 @@ mod tests {
     fn config_file_roundtrip_and_failure_modes() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("vmlp-exp-cfg-{}.json", std::process::id()));
-        let cfg = ExperimentConfig::smoke(Scheme::CurSched).with_seed(3);
+        let cfg = ExperimentConfig::smoke("cursched").with_seed(3);
         std::fs::write(&path, serde_json::to_string_pretty(&cfg).unwrap()).unwrap();
         let loaded = Experiment::from_config_file(&path).unwrap();
         assert_eq!(*loaded.config(), cfg);

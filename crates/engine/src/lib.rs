@@ -3,7 +3,7 @@
 //! Drives the full evaluation workflow of Section IV: profiling traces feed
 //! a [`mlp_trace::ProfileStore`]; a workload pattern and request mix feed
 //! the arrival generator; the discrete-event [`sim`]ulator executes the
-//! chosen scheduling [`scheme`] on a simulated cluster; and the
+//! scheduler a [`registry`] spec names on a simulated cluster; and the
 //! [`runner`] extracts the figures' metrics (QoS-violation rate,
 //! utilization timeline, latency distribution, tail latency, throughput).
 //!
@@ -20,7 +20,6 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod scheme;
 pub mod shutdown;
 pub mod sim;
 pub mod sweep;
@@ -31,8 +30,7 @@ pub use error::Error;
 pub use experiment::Experiment;
 pub use registry::{
     default_registry, BuildCtx, ParamValue, RegistryEntry, SchedulerParams, SchedulerRegistry,
-    SchemeSpec,
+    SchemeSpec, PAPER_SCHEMES,
 };
 pub use runner::ExperimentResult;
-pub use scheme::Scheme;
 pub use sweep::SweepConfig;

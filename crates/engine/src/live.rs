@@ -110,7 +110,6 @@ pub fn run_live(
 mod tests {
     use super::*;
     use crate::profiling::warm_profiles;
-    use crate::scheme::Scheme;
     use std::sync::atomic::Ordering;
     use std::sync::mpsc;
 
@@ -118,7 +117,7 @@ mod tests {
     /// one terminal outcome per submission out, clean drain on shutdown.
     #[test]
     fn live_kernel_completes_submissions_and_drains() {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(11);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(11);
         let catalog = RequestCatalog::paper();
         let root = SimRng::new(cfg.seed);
         let mut warm_rng = root.fork(2);

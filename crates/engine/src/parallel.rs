@@ -1,4 +1,4 @@
-//! Parallel experiment sweeps (std scoped threads).
+//! Parallel experiment sweeps over [`ShardPool`].
 //!
 //! The evaluation grid — 5 schemes × 3 patterns × 3 volatility streams ×
 //! seeds — is embarrassingly parallel. Each configuration carries its own
@@ -8,52 +8,26 @@
 use crate::config::ExperimentConfig;
 use crate::experiment::Experiment;
 use crate::runner::ExperimentResult;
+use mlp_cluster::ShardPool;
 use mlp_model::RequestCatalog;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs every configuration, fanning out over up to `workers` threads
 /// (0 = number of available cores). Results come back in input order.
 pub fn run_all(configs: &[ExperimentConfig], workers: usize) -> Vec<ExperimentResult> {
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-    } else {
-        workers
-    };
-    let workers = workers.min(configs.len().max(1));
     let catalog = RequestCatalog::paper();
-
-    // Workers pull indices from a shared counter and send `(index, result)`
-    // pairs over a channel; the scope exit joins every worker, after which
-    // results are reassembled into input order.
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, ExperimentResult)>();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let catalog = &catalog;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let result = Experiment::from_config(configs[i].clone())
+    let catalog = &catalog;
+    let jobs: Vec<_> = configs
+        .iter()
+        .map(|config| {
+            move |_: usize| {
+                Experiment::from_config(config.clone())
                     .catalog(catalog)
                     .run()
-                    .expect("sweep configs are valid");
-                tx.send((i, result)).expect("collector outlives the scope");
-            });
-        }
-    });
-    drop(tx); // the scope's workers are joined; close our own sender
-
-    let mut slots: Vec<Option<ExperimentResult>> = Vec::new();
-    slots.resize_with(configs.len(), || None);
-    for (i, result) in rx {
-        slots[i] = Some(result);
-    }
-    slots.into_iter().map(|r| r.expect("every config produces a result")).collect()
+                    .expect("sweep configs are valid")
+            }
+        })
+        .collect();
+    ShardPool::new(workers).scatter(jobs)
 }
 
 /// Convenience: run one scheme-per-config comparison and pair each result
@@ -69,11 +43,11 @@ pub fn run_labeled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
+    use crate::registry::PAPER_SCHEMES;
 
     #[test]
     fn parallel_matches_sequential() {
-        let configs: Vec<ExperimentConfig> = [Scheme::FairSched, Scheme::VMlp]
+        let configs: Vec<ExperimentConfig> = ["fairsched", "vmlp"]
             .into_iter()
             .map(|s| ExperimentConfig::smoke(s).with_seed(5))
             .collect();
@@ -89,10 +63,10 @@ mod tests {
     #[test]
     fn results_preserve_input_order() {
         let configs: Vec<ExperimentConfig> =
-            Scheme::PAPER.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
+            PAPER_SCHEMES.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
         let labeled = run_labeled(&configs, 0);
         let labels: Vec<&str> = labeled.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, vec!["FairSched", "CurSched", "PartProfile", "FullProfile", "v-MLP"]);
+        assert_eq!(labels, PAPER_SCHEMES);
     }
 
     #[test]

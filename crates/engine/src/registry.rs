@@ -1,10 +1,9 @@
 //! Scheduler registry: name + typed params → `Box<dyn Scheduler>`.
 //!
-//! Scheduler construction used to be a closed `Scheme` enum; adding a
-//! contender or an ablation sweep meant editing engine source. The
-//! registry replaces that with an open factory table: a [`SchemeSpec`]
-//! names a registered scheduler and carries typed, validated
-//! [`SchedulerParams`]; [`SchedulerRegistry::build`] resolves the name,
+//! The one way to name a scheduler is a spec string (`"vmlp"`,
+//! `"vmlp:healing=off"`, `"FairSched"`) resolved against an open factory
+//! table: a [`SchemeSpec`] names a registered scheduler and carries typed,
+//! validated [`SchedulerParams`]; [`SchedulerRegistry::build`] resolves the name,
 //! rejects unknown names and unknown/ill-typed params with
 //! [`Error::InvalidConfig`] (listing the registered names), and invokes
 //! the entry's factory with a [`BuildCtx`] carrying the experiment seed.
@@ -14,9 +13,8 @@
 //! pre-registered in [`default_registry`]. Out-of-tree schedulers
 //! register through [`SchedulerRegistry::register`] on a custom registry
 //! handed to [`Experiment::registry`](crate::Experiment::registry).
-//!
-//! The old [`Scheme`](crate::Scheme) enum remains as a thin deprecated
-//! shim over this module, so fixed-seed figures stay byte-identical.
+//! [`PAPER_SCHEMES`] lists the five Table VI schemes by their table names,
+//! each of which is also a spec string and its own display name.
 
 use crate::error::Error;
 use mlp_core::organizer::DtPolicy;
@@ -274,8 +272,7 @@ pub fn canonical_name(name: &str) -> String {
     name.chars().filter(|c| *c != '-' && *c != '_').map(|c| c.to_ascii_lowercase()).collect()
 }
 
-/// A scheduler by registered name plus typed parameters — the open
-/// replacement for the closed `Scheme` enum.
+/// A scheduler by registered name plus typed parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeSpec {
     /// Canonical registry name (lowercase, separators stripped).
@@ -390,9 +387,10 @@ impl Serialize for SchemeSpec {
 impl Deserialize for SchemeSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         match v {
-            // Spec strings and the legacy unit variants (`"VMlp"`,
-            // `"FairSched"`, …) — canonicalization makes the enum names
-            // parse to the right registry entries for free.
+            // Spec strings and the unit variants of the retired enum
+            // (`"VMlp"`, `"FairSched"`, …) that configs and result files
+            // written before the registry carry — canonicalization makes
+            // those names parse to the right registry entries for free.
             Value::Str(s) => SchemeSpec::parse(s).map_err(serde::Error::custom),
             Value::Object(entries) => {
                 if let Some(name) = v.get("name") {
@@ -406,7 +404,8 @@ impl Deserialize for SchemeSpec {
                     };
                     return Ok(SchemeSpec::with_params(name, params));
                 }
-                // Legacy externally-tagged `{"VMlpCustom": <VMlpConfig>}`.
+                // The retired enum's externally-tagged
+                // `{"VMlpCustom": <VMlpConfig>}`.
                 if let [(tag, cfg)] = entries.as_slice() {
                     if tag == "VMlpCustom" {
                         let cfg = VMlpConfig::from_value(cfg)
@@ -415,7 +414,7 @@ impl Deserialize for SchemeSpec {
                     }
                 }
                 Err(serde::Error::custom(
-                    "SchemeSpec: expected a spec string, {name, params}, or a legacy Scheme value",
+                    "SchemeSpec: expected a spec string, {name, params}, or a legacy VMlpCustom value",
                 ))
             }
             other => Err(serde::Error::custom(format!(
@@ -425,6 +424,12 @@ impl Deserialize for SchemeSpec {
         }
     }
 }
+
+/// The five evaluated schemes in Table VI order, by their table names. Each
+/// parses as a spec for its registry entry and is that entry's
+/// [`display_name`](SchemeSpec::display_name).
+pub const PAPER_SCHEMES: [&str; 5] =
+    ["FairSched", "CurSched", "PartProfile", "FullProfile", "v-MLP"];
 
 /// Context handed to scheduler factories at build time.
 #[derive(Debug, Clone, Copy)]
@@ -627,9 +632,9 @@ fn vmlp_config_from_params(params: &SchedulerParams) -> Result<VMlpConfig, Strin
 }
 
 /// Inverse of [`vmlp_config_from_params`]: the minimal param set whose
-/// application to `paper()` reproduces `cfg`. Used by the `Scheme` shim
-/// and the legacy `VMlpCustom` deserializer.
-pub(crate) fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
+/// application to `paper()` reproduces `cfg`. Used for display names and
+/// by the legacy `VMlpCustom` deserializer.
+fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
     let paper = VMlpConfig::paper();
     let mut p = SchedulerParams::new();
     if !cfg.delay_slot && !cfg.resource_stretch && (paper.delay_slot || paper.resource_stretch) {
@@ -798,6 +803,16 @@ mod tests {
     }
 
     #[test]
+    fn paper_schemes_build_under_their_table_names() {
+        for name in PAPER_SCHEMES {
+            let spec = SchemeSpec::parse(name).unwrap();
+            let sched = default_registry().build(&spec, 0).unwrap();
+            assert_eq!(sched.name(), name);
+            assert_eq!(sched.waiting(), 0);
+        }
+    }
+
+    #[test]
     fn names_canonicalize() {
         assert_eq!(canonical_name("v-MLP"), "vmlp");
         assert_eq!(canonical_name("FairSched"), "fairsched");
@@ -876,10 +891,18 @@ mod tests {
         assert_eq!(legacy, SchemeSpec::named("vmlp"));
         let legacy: SchemeSpec = serde_json::from_str("\"FairSched\"").unwrap();
         assert_eq!(legacy, SchemeSpec::named("fairsched"));
+        let legacy: SchemeSpec = serde_json::from_str("\"PartProfile\"").unwrap();
+        assert_eq!(legacy, SchemeSpec::named("partprofile"));
 
         // Legacy `VMlpCustom` objects load as vmlp + diff params.
-        let cfg = VMlpConfig::without_healing();
-        let js = format!("{{\"VMlpCustom\":{}}}", serde_json::to_string(&cfg).unwrap());
+        let cfg = serde_json::to_string(&VMlpConfig::without_healing()).unwrap();
+        let js = format!("{{\"VMlpCustom\":{cfg}}}");
+        let back: SchemeSpec = serde_json::from_str(&js).unwrap();
+        assert_eq!(back, SchemeSpec::parse("vmlp:healing=off").unwrap());
+        // One written while the sort-based round was still selectable
+        // carries its flag; the field is ignored, the rest loads.
+        let cfg = cfg.strip_suffix('}').expect("config serializes to an object");
+        let js = format!("{{\"VMlpCustom\":{cfg},\"unindexed_reorder\":false}}}}");
         let back: SchemeSpec = serde_json::from_str(&js).unwrap();
         assert_eq!(back, SchemeSpec::parse("vmlp:healing=off").unwrap());
     }

@@ -225,11 +225,10 @@ mod tests {
     use super::*;
     use crate::config::MixSpec;
     use crate::experiment::Experiment;
-    use crate::scheme::Scheme;
 
     #[test]
     fn smoke_experiment_produces_sane_metrics() {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp);
+        let cfg = ExperimentConfig::smoke("vmlp");
         let r = Experiment::from_config(cfg).run().unwrap();
         assert!(r.arrived > 0);
         assert!(r.completed > 0);
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_results() {
-        let cfg = ExperimentConfig::smoke(Scheme::PartProfile).with_seed(99);
+        let cfg = ExperimentConfig::smoke("partprofile").with_seed(99);
         let a = Experiment::from_config(cfg.clone()).run().unwrap();
         let b = Experiment::from_config(cfg).run().unwrap();
         assert_eq!(a.completed, b.completed);
@@ -254,7 +253,7 @@ mod tests {
     #[test]
     fn attribution_sums_to_latency_and_auditor_is_clean() {
         // smoke() runs the invariant auditor; attribution is always on.
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp);
+        let cfg = ExperimentConfig::smoke("vmlp");
         let catalog = RequestCatalog::paper();
         let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
         assert_eq!(r.invariant_violations, 0, "report: {:?}", out.invariant_report);
@@ -278,7 +277,7 @@ mod tests {
 
     #[test]
     fn single_class_mix_only_populates_that_class() {
-        let cfg = ExperimentConfig::smoke(Scheme::CurSched)
+        let cfg = ExperimentConfig::smoke("cursched")
             .with_mix(MixSpec::SingleClass(VolatilityClass::High));
         let r = Experiment::from_config(cfg).run().unwrap();
         assert!(r.p99_by_class[2] > 0.0, "high class must have latencies");

@@ -65,11 +65,10 @@ pub fn run_challenge(scheme: impl Into<SchemeSpec>, seed: u64) -> ChallengeOutco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
 
     #[test]
     fn misprediction_causes_contention_for_naive_schemes() {
-        let naive = run_challenge(Scheme::CurSched, 3);
+        let naive = run_challenge("cursched", 3);
         // The whole point of Fig 5: late invocations happen, and naive
         // schemes end up with capped (contended) executions.
         assert!(naive.late_fraction > 0.0, "expected late invocations");
@@ -79,8 +78,8 @@ mod tests {
 
     #[test]
     fn vmlp_contends_less_than_cursched() {
-        let naive = run_challenge(Scheme::CurSched, 3);
-        let vmlp = run_challenge(Scheme::VMlp, 3);
+        let naive = run_challenge("cursched", 3);
+        let vmlp = run_challenge("vmlp", 3);
         assert!(
             vmlp.capped_fraction < naive.capped_fraction,
             "v-MLP capped {} vs CurSched {}",

@@ -2,13 +2,14 @@
 //!
 //! Long-running binaries (`vmlp serve`, the soak/zoo benches) install the
 //! SIGINT/SIGTERM handler once at startup; the handler's only action is an
-//! atomic store into [`REQUESTED`], which is async-signal-safe. Consumers
-//! poll [`requested`] at natural checkpoints — the kernel's sampling tick,
-//! a bench's sweep-point boundary — and wind down cleanly: drain in-flight
-//! work, flush partial BENCH results, exit. A second ctrl-c therefore
-//! still hard-kills the process the usual way if the drain itself hangs
-//! (the handler is installed without `SA_RESETHAND`, but the drain paths
-//! are bounded, so this has never been needed).
+//! atomic store into the private `REQUESTED` flag, which is
+//! async-signal-safe. Consumers poll [`requested`] at natural checkpoints
+//! — the kernel's sampling tick, a bench's sweep-point boundary — and wind
+//! down cleanly: drain in-flight work, flush partial BENCH results, exit.
+//! A second ctrl-c therefore still hard-kills the process the usual way if
+//! the drain itself hangs (the handler is installed without
+//! `SA_RESETHAND`, but the drain paths are bounded, so this has never been
+//! needed).
 //!
 //! The flag is process-global and latching: once set it stays set, which
 //! is the right semantics for "stop everything and report what you have".

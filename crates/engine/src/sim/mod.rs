@@ -493,11 +493,11 @@ fn rv_close(a: ResourceVector, b: ResourceVector) -> bool {
 mod tests {
     use super::*;
     use crate::profiling::warm_profiles;
-    use crate::scheme::Scheme;
+    use crate::registry::PAPER_SCHEMES;
     use mlp_trace::Span;
     use mlp_workload::{generate_stream, OpenLoopSource, SliceSource};
 
-    fn run(scheme: Scheme, seed: u64) -> SimOutput {
+    fn run(scheme: &str, seed: u64) -> SimOutput {
         let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
         let catalog = RequestCatalog::paper();
         let root = SimRng::new(cfg.seed);
@@ -515,21 +515,21 @@ mod tests {
 
     #[test]
     fn smoke_runs_complete_for_every_scheme() {
-        for scheme in Scheme::PAPER {
+        for scheme in PAPER_SCHEMES {
             let out = run(scheme, 42);
-            assert!(out.arrived > 100, "{}: only {} arrivals", scheme.label(), out.arrived);
+            assert!(out.arrived > 100, "{}: only {} arrivals", scheme, out.arrived);
             let finished = out.collector.completed();
             assert!(
                 finished + out.unfinished >= out.arrived,
                 "{}: lost requests: {finished} + {} < {}",
-                scheme.label(),
+                scheme,
                 out.unfinished,
                 out.arrived
             );
             assert!(
                 finished as f64 >= 0.9 * out.arrived as f64,
                 "{}: only {finished}/{} finished",
-                scheme.label(),
+                scheme,
                 out.arrived
             );
         }
@@ -537,8 +537,8 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_results() {
-        let a = run(Scheme::VMlp, 7);
-        let b = run(Scheme::VMlp, 7);
+        let a = run("vmlp", 7);
+        let b = run("vmlp", 7);
         assert_eq!(a.collector.completed(), b.collector.completed());
         assert_eq!(
             a.collector.latency_percentile(99.0, None),
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn spans_respect_causality() {
-        let out = run(Scheme::VMlp, 3);
+        let out = run("vmlp", 3);
         let catalog = RequestCatalog::paper();
         // Group spans per request and check every DAG edge ordering.
         use std::collections::HashMap;
@@ -578,8 +578,8 @@ mod tests {
     fn machines_never_exceed_capacity() {
         // Reconstruct machine occupancy over time from spans and verify
         // the actual-accounting invariant (occupied ≤ capacity).
-        let out = run(Scheme::FairSched, 11); // FairSched over-commits the most
-        let cfg = ExperimentConfig::smoke(Scheme::FairSched);
+        let out = run("fairsched", 11); // FairSched over-commits the most
+        let cfg = ExperimentConfig::smoke("fairsched");
         let mut events: Vec<(SimTime, usize, f64)> = Vec::new(); // (t, machine, cpu delta)
         for s in out.collector.spans() {
             // occupied CPU is not recorded on the span; satisfaction < 1
@@ -595,10 +595,10 @@ mod tests {
 
     #[test]
     fn vmlp_heals_more_than_baselines() {
-        let v = run(Scheme::VMlp, 5);
+        let v = run("vmlp", 5);
         let fills = v.metrics.counter(mlp_trace::metrics::names::DELAY_SLOT_FILLS)
             + v.metrics.counter(mlp_trace::metrics::names::RESOURCE_STRETCHES);
-        let f = run(Scheme::FairSched, 5);
+        let f = run("fairsched", 5);
         let base_fills = f.metrics.counter(mlp_trace::metrics::names::DELAY_SLOT_FILLS);
         assert_eq!(base_fills, 0, "baselines never heal");
         // v-MLP may or may not heal in a smoke run; just ensure counters
@@ -608,7 +608,7 @@ mod tests {
 
     #[test]
     fn request_table_reclaims_finished_requests() {
-        let out = run(Scheme::VMlp, 42);
+        let out = run("vmlp", 42);
         assert!(out.request_table_peak > 0);
         assert!(
             out.request_table_peak < out.arrived,
@@ -622,7 +622,7 @@ mod tests {
     fn streaming_open_loop_run_is_bounded_and_consistent() {
         // An open-loop source with a request cap plus the streaming
         // collector: the configuration fig_soak uses, at smoke scale.
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(9).with_stream_stats(true);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(9).with_stream_stats(true);
         let catalog = RequestCatalog::paper();
         let root = SimRng::new(cfg.seed);
         let arr_rng = root.fork(0);

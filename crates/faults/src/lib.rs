@@ -1,6 +1,6 @@
 //! # mlp-faults — deterministic fault injection
 //!
-//! Compiles an [`ExperimentConfig`]-level fault description
+//! Compiles an `ExperimentConfig`-level fault description
 //! ([`FaultConfig`]) into a concrete, seeded [`FaultSchedule`]: machine
 //! crash/recover windows, per-(request, node, attempt) transient execution
 //! failures, and a network-degradation window that scales the tail-spike

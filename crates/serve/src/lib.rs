@@ -547,11 +547,10 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlp_engine::Scheme;
     use std::io::{Read as _, Write as _};
 
     fn smoke_server() -> Server {
-        let exp = ExperimentConfig::smoke(Scheme::VMlp).with_seed(17);
+        let exp = ExperimentConfig::smoke("vmlp").with_seed(17);
         Server::start(ServeConfig::smoke(exp)).expect("bind loopback")
     }
 

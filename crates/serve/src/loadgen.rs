@@ -292,7 +292,7 @@ mod tests {
     /// schedule, every sent request accounted for.
     #[test]
     fn loadgen_drives_a_live_server() {
-        let exp = mlp_engine::ExperimentConfig::smoke(mlp_engine::Scheme::VMlp).with_seed(23);
+        let exp = mlp_engine::ExperimentConfig::smoke("vmlp").with_seed(23);
         let server = crate::Server::start(crate::ServeConfig::smoke(exp)).expect("bind");
         let cfg = LoadgenConfig {
             addr: server.local_addr().to_string(),

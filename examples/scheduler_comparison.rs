@@ -15,7 +15,7 @@ fn main() {
     };
     println!("comparing all schemes on pattern {} …\n", pattern.label());
 
-    let rows: Vec<Vec<String>> = Scheme::PAPER
+    let rows: Vec<Vec<String>> = PAPER_SCHEMES
         .into_iter()
         .map(|scheme| {
             let config = ExperimentConfig {
@@ -27,7 +27,7 @@ fn main() {
             };
             let r = Experiment::from_config(config).run().expect("config is valid");
             vec![
-                scheme.label().to_string(),
+                scheme.to_string(),
                 report::f(r.latency_ms[0]),
                 report::f(r.latency_ms[1]),
                 report::f(r.latency_ms[2]),

@@ -13,7 +13,7 @@
 
 use v_mlp::prelude::*;
 
-fn run(scheme: Scheme, high_ratio: f64) -> ExperimentResult {
+fn run(scheme: &str, high_ratio: f64) -> ExperimentResult {
     let config = ExperimentConfig {
         machines: 12,
         max_rate: 60.0,
@@ -30,7 +30,7 @@ fn main() {
     println!("SocialNetwork: compose-post writes vs timeline reads (L2 fluctuating)\n");
     for ratio in [0.2, 0.5] {
         println!("--- {:.0}% high-volatility writes ---", ratio * 100.0);
-        for scheme in [Scheme::FairSched, Scheme::VMlp] {
+        for scheme in ["fairsched", "vmlp"] {
             let r = run(scheme, ratio);
             let low = r.violation_by_class[0] * 100.0;
             let high = r.violation_by_class[2] * 100.0;

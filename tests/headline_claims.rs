@@ -16,7 +16,7 @@ fn scale() -> Scale {
     Scale { machines: 10, max_rate: 70.0, horizon_s: 40.0, seeds: 2, label: "ci" }
 }
 
-fn cell(scheme: Scheme, mix: MixSpec, pattern: WorkloadPattern) -> Cell {
+fn cell(scheme: &str, mix: MixSpec, pattern: WorkloadPattern) -> Cell {
     Cell { scheme: scheme.into(), pattern, mix, rate_mult: 1.0 }
 }
 
@@ -24,15 +24,11 @@ fn cell(scheme: Scheme, mix: MixSpec, pattern: WorkloadPattern) -> Cell {
 fn vmlp_cuts_tail_latency_versus_fairsched_on_high_vr() {
     let cells = [
         cell(
-            Scheme::FairSched,
+            "fairsched",
             MixSpec::SingleClass(VolatilityClass::High),
             WorkloadPattern::L2Fluctuating,
         ),
-        cell(
-            Scheme::VMlp,
-            MixSpec::SingleClass(VolatilityClass::High),
-            WorkloadPattern::L2Fluctuating,
-        ),
+        cell("vmlp", MixSpec::SingleClass(VolatilityClass::High), WorkloadPattern::L2Fluctuating),
     ];
     let res = run_cells(scale(), &cells, 11);
     let fair = res[0].latency_ms[2];
@@ -45,7 +41,7 @@ fn vmlp_cuts_tail_latency_versus_fairsched_on_high_vr() {
 
 #[test]
 fn vmlp_matches_or_beats_everyone_on_violations_high_vr() {
-    let cells: Vec<Cell> = Scheme::PAPER
+    let cells: Vec<Cell> = PAPER_SCHEMES
         .into_iter()
         .map(|s| cell(s, MixSpec::SingleClass(VolatilityClass::High), WorkloadPattern::L1Pulse))
         .collect();
@@ -66,9 +62,9 @@ fn vmlp_matches_or_beats_everyone_on_violations_high_vr() {
 fn vmlp_beats_simple_schedulers_on_every_pattern() {
     for pattern in WorkloadPattern::PAPER {
         let cells = [
-            cell(Scheme::FairSched, MixSpec::Balanced, pattern),
-            cell(Scheme::CurSched, MixSpec::Balanced, pattern),
-            cell(Scheme::VMlp, MixSpec::Balanced, pattern),
+            cell("fairsched", MixSpec::Balanced, pattern),
+            cell("cursched", MixSpec::Balanced, pattern),
+            cell("vmlp", MixSpec::Balanced, pattern),
         ];
         let res = run_cells(scale(), &cells, 17);
         let vmlp_p99 = res[2].latency_ms[2];
@@ -91,8 +87,8 @@ fn advantage_grows_with_volatility() {
     // from the low-V_r stream to the high-V_r stream.
     let mk = |class| {
         [
-            cell(Scheme::FairSched, MixSpec::SingleClass(class), WorkloadPattern::L2Fluctuating),
-            cell(Scheme::VMlp, MixSpec::SingleClass(class), WorkloadPattern::L2Fluctuating),
+            cell("fairsched", MixSpec::SingleClass(class), WorkloadPattern::L2Fluctuating),
+            cell("vmlp", MixSpec::SingleClass(class), WorkloadPattern::L2Fluctuating),
         ]
     };
     let low = run_cells(scale(), &mk(VolatilityClass::Low), 19);
@@ -107,7 +103,7 @@ fn advantage_grows_with_volatility() {
 
 #[test]
 fn vmlp_outperforms_advanced_baselines_under_fluctuation() {
-    let cells: Vec<Cell> = [Scheme::PartProfile, Scheme::FullProfile, Scheme::VMlp]
+    let cells: Vec<Cell> = ["partprofile", "fullprofile", "vmlp"]
         .into_iter()
         .map(|s| cell(s, MixSpec::Balanced, WorkloadPattern::L2Fluctuating))
         .collect();
@@ -126,7 +122,7 @@ fn vmlp_outperforms_advanced_baselines_under_fluctuation() {
 
 #[test]
 fn healing_actions_only_come_from_vmlp() {
-    let cells: Vec<Cell> = Scheme::PAPER
+    let cells: Vec<Cell> = PAPER_SCHEMES
         .into_iter()
         .map(|s| cell(s, MixSpec::Balanced, WorkloadPattern::L1Pulse))
         .collect();

@@ -18,7 +18,7 @@ use v_mlp::workload::{generate_stream, SliceSource, WorkloadPattern};
 /// Runs v-MLP under a constant offered load for `horizon_s` simulated
 /// seconds and returns (timeline high-water mark, final per-tick total).
 fn run_constant_load(horizon_s: f64) -> (f64, f64) {
-    let mut cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(7);
+    let mut cfg = ExperimentConfig::smoke("vmlp").with_seed(7);
     cfg.pattern = WorkloadPattern::Constant;
     cfg.horizon_s = horizon_s;
     let catalog = RequestCatalog::paper();
@@ -58,10 +58,8 @@ fn tighter_retention_window_still_passes_the_auditor() {
     // more aggressively (0.5 s) must stay invariant-clean — the auditor
     // cross-checks reservations against run state every tick, so a window
     // that pruned still-needed breakpoints would trip it.
-    let cfg = ExperimentConfig::smoke(Scheme::VMlp)
-        .with_seed(11)
-        .with_ledger_retention(0.5)
-        .with_auditor(true);
+    let cfg =
+        ExperimentConfig::smoke("vmlp").with_seed(11).with_ledger_retention(0.5).with_auditor(true);
     let catalog = RequestCatalog::paper();
     let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
     assert_eq!(r.invariant_violations, 0, "report: {:?}", out.invariant_report);
@@ -69,7 +67,7 @@ fn tighter_retention_window_still_passes_the_auditor() {
     assert!(r.completed > 0);
 
     // And the tighter window retains no more than the default one.
-    let default_cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(11).with_auditor(true);
+    let default_cfg = ExperimentConfig::smoke("vmlp").with_seed(11).with_auditor(true);
     let (_, out_default) =
         Experiment::from_config(default_cfg).catalog(&catalog).run_full().unwrap();
     let tight_max = out.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap();

@@ -10,13 +10,13 @@ fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     Experiment::from_config(cfg.clone()).run().expect("test config is valid")
 }
 
-fn arb_scheme() -> impl Strategy<Value = Scheme> {
+fn arb_scheme() -> impl Strategy<Value = &'static str> {
     prop_oneof![
-        Just(Scheme::FairSched),
-        Just(Scheme::CurSched),
-        Just(Scheme::PartProfile),
-        Just(Scheme::FullProfile),
-        Just(Scheme::VMlp),
+        Just("fairsched"),
+        Just("cursched"),
+        Just("partprofile"),
+        Just("fullprofile"),
+        Just("vmlp"),
     ]
 }
 

@@ -1,6 +1,5 @@
 //! Acceptance tests for the scheduler registry and the search contender:
-//! the deprecated `Scheme` enum path and the registry spec path produce
-//! byte-identical results for every paper scheme, `SearchSched` is
+//! every Table VI name is its own display name, `SearchSched` is
 //! deterministic from the experiment seed and auditor-clean, and the
 //! committed `sweeps/*.json` defaults reproduce the historically
 //! hardcoded scheme lists of the figure binaries exactly.
@@ -12,31 +11,13 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
 
-fn run_serialized(cfg: ExperimentConfig) -> String {
-    let r = Experiment::from_config(cfg).run().expect("config is valid");
-    serde_json::to_string(&r).expect("result serializes")
-}
-
-/// The enum shim and the registry spec path are the same scheduler: a
-/// fixed-seed smoke run serializes byte-identically whichever way the
-/// scheme was named, for all five paper schemes.
-#[test]
-fn enum_shim_and_registry_specs_are_byte_identical() {
-    for scheme in Scheme::PAPER {
-        let via_enum = run_serialized(ExperimentConfig::smoke(scheme).with_seed(2022));
-        let spec = SchemeSpec::parse(scheme.label()).expect("labels parse as specs");
-        assert_eq!(spec, scheme.spec(), "{scheme:?}: label must resolve to the same spec");
-        let via_registry = run_serialized(ExperimentConfig::smoke(spec).with_seed(2022));
-        assert_eq!(via_enum, via_registry, "{scheme:?}: registry path diverged from the enum path");
-    }
-}
-
-/// Registry-built and enum-built schedulers carry the same display names
-/// everywhere the figures print them.
+/// The Table VI names the figures print are the registry's display names
+/// for the specs those same names parse to.
 #[test]
 fn display_names_round_trip_through_the_registry() {
-    for scheme in Scheme::PAPER {
-        assert_eq!(scheme.spec().display_name(), scheme.label());
+    for scheme in PAPER_SCHEMES {
+        let spec = SchemeSpec::parse(scheme).expect("Table VI names parse as specs");
+        assert_eq!(spec.display_name(), scheme);
     }
     assert_eq!(SchemeSpec::parse("vmlp:healing=off").unwrap().display_name(), "v-MLP[healing=off]");
     assert_eq!(SchemeSpec::named("searchsched").display_name(), "SearchSched");
@@ -101,7 +82,7 @@ fn searchsched_is_auditor_clean_with_and_without_faults() {
 /// `Experiment` builder, not just the registry.
 #[test]
 fn bad_specs_are_typed_config_errors() {
-    let bad_spec = |spec: &str| match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+    let bad_spec = |spec: &str| match Experiment::from_config(ExperimentConfig::smoke("vmlp"))
         .scheme_spec(spec)
     {
         Ok(_) => panic!("spec `{spec}` should have been rejected"),
@@ -143,9 +124,7 @@ fn unknown_params_are_typed_config_errors() {
     for (spec, key) in
         [("vmlp:warpdrive=9", "warpdrive"), ("vmlp:unindexed_reorder=true", "unindexed_reorder")]
     {
-        let err = match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
-            .scheme_spec(spec)
-        {
+        let err = match Experiment::from_config(ExperimentConfig::smoke("vmlp")).scheme_spec(spec) {
             Ok(_) => panic!("{spec}: unknown param must be rejected"),
             Err(e) => e,
         };

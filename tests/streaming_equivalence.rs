@@ -11,8 +11,7 @@ use v_mlp::prelude::*;
 use v_mlp::sim::SimRng;
 use v_mlp::workload::generate_stream;
 
-const SCHEMES: [Scheme; 5] =
-    [Scheme::CurSched, Scheme::FairSched, Scheme::PartProfile, Scheme::FullProfile, Scheme::VMlp];
+const SCHEMES: [&str; 5] = ["cursched", "fairsched", "partprofile", "fullprofile", "vmlp"];
 
 /// The raw slice pipeline the engine used before sources existed:
 /// materialize the dense trace, then replay it through a [`SliceSource`].
@@ -44,10 +43,10 @@ proptest! {
             let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
             let r = Experiment::from_config(cfg.clone()).run().expect("smoke config is valid");
             let (arrived, completed, unfinished, peak) = run_slice_pipeline(&cfg);
-            prop_assert_eq!(r.arrived, arrived, "{}", scheme.label());
-            prop_assert_eq!(r.completed, completed, "{}", scheme.label());
-            prop_assert_eq!(r.unfinished, unfinished, "{}", scheme.label());
-            prop_assert_eq!(r.request_table_peak, peak, "{}", scheme.label());
+            prop_assert_eq!(r.arrived, arrived, "{scheme}");
+            prop_assert_eq!(r.completed, completed, "{scheme}");
+            prop_assert_eq!(r.unfinished, unfinished, "{scheme}");
+            prop_assert_eq!(r.request_table_peak, peak, "{scheme}");
         }
     }
 
@@ -55,7 +54,7 @@ proptest! {
     /// every float in the summary comes out identical on a second run.
     #[test]
     fn open_loop_fixed_seed_is_bit_reproducible(seed in 0u64..10_000) {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
+        let cfg = ExperimentConfig::smoke("vmlp")
             .with_seed(seed)
             .with_stream_stats(true)
             .with_max_requests(120);
@@ -77,7 +76,7 @@ fn streaming_stats_agree_with_exact_records() {
     // Streaming mode changes how completions are *summarized*, never how
     // the simulation runs: counts must agree exactly, the Welford mean to
     // float tolerance, and the P² tail to estimator tolerance.
-    let base = ExperimentConfig::smoke(Scheme::VMlp).with_seed(77);
+    let base = ExperimentConfig::smoke("vmlp").with_seed(77);
     let exact = Experiment::from_config(base.clone()).run().unwrap();
     let streamed = Experiment::from_config(base.with_stream_stats(true)).run().unwrap();
 
@@ -106,7 +105,7 @@ fn streaming_stats_agree_with_exact_records() {
 fn profile_retention_default_is_byte_identical() {
     // `profile_retention: 0` (the default) must not perturb results, and a
     // bounded window must still produce a sane, clean run.
-    let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(13);
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(13);
     let a = Experiment::from_config(cfg.clone()).run().unwrap();
     let b = Experiment::from_config(cfg.clone().with_profile_retention(0)).run().unwrap();
     assert_eq!(a.latency_ms, b.latency_ms);

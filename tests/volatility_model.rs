@@ -81,7 +81,7 @@ fn run_enriches_profiles_with_contended_cases() {
     // After a real run, the profile store contains *observed* execution
     // cases whose spread exceeds the warm-up's abundant-resource spread —
     // the feedback loop of Fig 8.
-    let cfg = ExperimentConfig::smoke(Scheme::CurSched).with_seed(12);
+    let cfg = ExperimentConfig::smoke("cursched").with_seed(12);
     let catalog = RequestCatalog::paper();
     let root = SimRng::new(cfg.seed);
     let mut warm_rng = root.fork(2);
@@ -116,7 +116,7 @@ fn run_enriches_profiles_with_contended_cases() {
 fn full_run_exports_valid_zipkin_traces() {
     use v_mlp::trace::zipkin;
     let catalog = RequestCatalog::paper();
-    let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(21);
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(21);
     let (result, raw) =
         Experiment::from_config(cfg).catalog(&catalog).run_full().expect("config is valid");
     let spans = zipkin::export(&raw.collector, &catalog);
@@ -138,7 +138,7 @@ fn full_run_exports_valid_zipkin_traces() {
 #[test]
 fn per_type_stats_cover_all_five_types() {
     let catalog = RequestCatalog::paper();
-    let cfg = ExperimentConfig::smoke(Scheme::CurSched).with_seed(22);
+    let cfg = ExperimentConfig::smoke("cursched").with_seed(22);
     let (_, raw) =
         Experiment::from_config(cfg).catalog(&catalog).run_full().expect("config is valid");
     let stats = raw.collector.per_type_stats();
