@@ -29,7 +29,8 @@ impl<'c, D: Driver> Sim<'c, D> {
         loop {
             self.drain_reclaim();
             let live = self.table.live() + self.pending_info.len();
-            match self.driver.next_step(self.next_request_id, live) {
+            let table = &self.table;
+            match self.driver.next_step(self.next_request_id, live, |ev| table.emits_outcome(ev)) {
                 Step::Arrival(a, token) => {
                     if let Some(token) = token {
                         // The arrival is about to be assigned this id (both

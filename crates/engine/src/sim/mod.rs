@@ -606,6 +606,55 @@ mod tests {
         let _ = fills;
     }
 
+    /// The kernel's `emits_outcome` predicate, asked about every event a
+    /// driver hands over, is true exactly as often as a request finishes.
+    /// The rate loads the smoke cluster until resource stretching leaves
+    /// stale-generation completions of last nodes behind (dozens here).
+    #[test]
+    fn emits_outcome_flags_exactly_the_finishing_events() {
+        struct Counting<'s> {
+            inner: SimDriver<'s>,
+            flagged: usize,
+        }
+        impl Driver for Counting<'_> {
+            fn schedule(&mut self, at: SimTime, ev: Event) {
+                self.inner.schedule(at, ev);
+            }
+            fn next_step(
+                &mut self,
+                next_request_id: u64,
+                live_requests: usize,
+                emits_outcome: impl Fn(&Event) -> bool,
+            ) -> Step {
+                let step = self.inner.next_step(next_request_id, live_requests, |_| false);
+                if let Step::Event(_, ev) = &step {
+                    self.flagged += usize::from(emits_outcome(ev));
+                }
+                step
+            }
+            fn has_pending(&self) -> bool {
+                self.inner.has_pending()
+            }
+        }
+
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_rate(200.0);
+        let catalog = RequestCatalog::paper();
+        let root = SimRng::new(cfg.seed);
+        let mut sim_rng = root.fork(1);
+        let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut root.fork(2));
+        let mix = cfg.mix.resolve(&catalog);
+        let arrivals =
+            generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut root.fork(0));
+        let mut source = SliceSource::new(&arrivals);
+        let mut sched = crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
+        let hard_cap = SimTime::from_secs_f64(cfg.horizon_s * cfg.drain_factor.max(1.0));
+        let driver = Counting { inner: SimDriver::new(&mut source, 4096, hard_cap), flagged: 0 };
+        let mut sim = build_sim(&cfg, &catalog, profiles, TraceCollector::new(), driver, hard_cap);
+        let out = sim.run(sched.as_mut(), &mut sim_rng);
+        assert!(out.collector.completed() > 100, "{} completed", out.collector.completed());
+        assert_eq!(sim.driver.flagged, out.collector.completed());
+    }
+
     #[test]
     fn request_table_reclaims_finished_requests() {
         let out = run("vmlp", 42);

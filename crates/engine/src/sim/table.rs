@@ -11,7 +11,7 @@
 //! as the `request_table_peak` gauge, and soak runs assert it plateaus
 //! while arrivals grow into the millions.
 
-use super::RunReq;
+use super::{Event, RunReq};
 use std::collections::HashMap;
 
 /// Slab of live (admitted, not yet reclaimed) requests.
@@ -103,6 +103,17 @@ impl RequestTable {
         self.admitted
     }
 
+    /// Whether applying `ev` now would finish its request: a `Complete` of
+    /// the node's current generation, for a live request whose only
+    /// unfinished node it is. The live driver wakes precisely for such a
+    /// timer, since a client is waiting on the outcome it emits. A miss
+    /// (a brownout branch shed finishing the request early) costs that
+    /// wake-up its precision, nothing else.
+    pub(super) fn emits_outcome(&self, ev: &Event) -> bool {
+        let Event::Complete { request, node, gen } = *ev else { return false };
+        self.get(request).is_some_and(|r| !r.abandoned && r.remaining == 1 && r.gens[node] == gen)
+    }
+
     /// Ids of live entries, sorted by admission order. The crash handler
     /// and the invariant auditor iterate in this order so their scheduler
     /// notifications, event scheduling, and violation reports stay
@@ -116,5 +127,83 @@ impl RequestTable {
             .collect();
         ids.sort_unstable();
         ids.into_iter().map(|(_, id)| id).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{NState, NodeAttrib};
+    use super::*;
+    use mlp_model::RequestTypeId;
+    use mlp_sched::{RequestInfo, RequestPlan};
+    use mlp_sim::SimTime;
+    use mlp_trace::RequestId;
+
+    /// An admitted request of `n` nodes, all still unfinished.
+    fn entry(id: u64, n: usize) -> RunReq {
+        let t = SimTime::ZERO;
+        RunReq {
+            info: RequestInfo { id: RequestId(id), rtype: RequestTypeId(0), arrival: t },
+            plan: RequestPlan { request: RequestId(id), nodes: Vec::new() },
+            state: vec![NState::Ready { at: t }; n],
+            gens: vec![0; n],
+            remaining: n,
+            attempts: vec![0; n],
+            abandoned: false,
+            attrib: vec![NodeAttrib::new(t, t); n],
+            admit_seq: 0,
+        }
+    }
+
+    /// Marks `node` of `id` finished, as the lifecycle does.
+    fn finish(table: &mut RequestTable, id: u64, node: usize) {
+        let r = table.get_mut(id).unwrap();
+        r.state[node] = NState::Done;
+        r.remaining -= 1;
+    }
+
+    fn complete(request: u64, node: usize, gen: u64) -> Event {
+        Event::Complete { request, node, gen }
+    }
+
+    #[test]
+    fn last_unfinished_nodes_current_completion_emits() {
+        let mut t = RequestTable::new();
+        t.insert(7, entry(7, 1));
+        assert!(t.emits_outcome(&complete(7, 0, 0)));
+        assert!(!t.emits_outcome(&complete(8, 0, 0)), "unknown request");
+    }
+
+    #[test]
+    fn stale_generations_and_other_events_do_not_emit() {
+        let mut t = RequestTable::new();
+        t.insert(1, entry(1, 1));
+        t.get_mut(1).unwrap().gens[0] = 2;
+        assert!(!t.emits_outcome(&complete(1, 0, 1)), "stale generation");
+        assert!(t.emits_outcome(&complete(1, 0, 2)));
+        for ev in [
+            Event::TryInvoke { request: 1, node: 0, gen: 2 },
+            Event::PlannedStart { request: 1, node: 0 },
+            Event::NodeFailed { request: 1, node: 0, gen: 2 },
+            Event::Sample,
+        ] {
+            assert!(!t.emits_outcome(&ev), "{ev:?}");
+        }
+        t.get_mut(1).unwrap().abandoned = true;
+        assert!(!t.emits_outcome(&complete(1, 0, 2)), "abandoned");
+    }
+
+    #[test]
+    fn two_leaf_dag_emits_once_the_other_leaf_is_done() {
+        // Root 0 fans out to leaves 1 and 2.
+        let mut t = RequestTable::new();
+        t.insert(3, entry(3, 3));
+        finish(&mut t, 3, 0);
+        assert!(!t.emits_outcome(&complete(3, 1, 0)), "leaf 2 still unfinished");
+        assert!(!t.emits_outcome(&complete(3, 2, 0)), "leaf 1 still unfinished");
+        finish(&mut t, 3, 2);
+        assert!(t.emits_outcome(&complete(3, 1, 0)));
+        t.remove(3);
+        assert!(!t.emits_outcome(&complete(3, 1, 0)), "reclaimed");
     }
 }

@@ -4,7 +4,8 @@
 //! rate-schedule overlays such as [`RateSchedule::diurnal_sine`]) as real
 //! wall-clock traffic: a Lewis–Shedler thinning sampler turns the rate
 //! curve into arrival instants, each connection thread sleeps to its next
-//! instant, fires a `RUN` line, and parks for the reply. The target rate
+//! instant, fires a `RUN` line, and parks for the reply; the latency it
+//! records runs from that intended instant to the reply. The target rate
 //! is split evenly across connections — superposing `N` Poisson processes
 //! at `rate/N` is again Poisson at `rate` — so per-connection blocking on
 //! the reply only distorts the process when a single connection's share
@@ -42,6 +43,12 @@ pub struct LoadgenConfig {
 }
 
 /// Aggregate counters plus the full latency sample of one run.
+///
+/// Latencies are what the client waits for: wall time from a request's
+/// intended send instant to its reply, so they include the front door,
+/// the kernel's wake-up and any lateness of the send itself. The
+/// kernel's own figure (the `latency_us` echoed in each `OK` reply) is
+/// modelled time from admission to completion, and never larger.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Requests actually sent (accepted arrival instants inside the run).
@@ -56,7 +63,8 @@ pub struct LoadReport {
     pub errors: u64,
     /// Wall-clock time from first to last action.
     pub elapsed: Duration,
-    /// Completed-request latencies in µs, sorted ascending.
+    /// Client-observed latencies of completed requests in µs, from the
+    /// intended send instant to the reply, sorted ascending.
     pub latencies_us: Vec<u64>,
     /// Arrival instants that fell behind schedule by over 10 ms — a
     /// closed-loop distortion signal (add connections if this grows).
@@ -205,9 +213,9 @@ fn connection_loop(
 
         report.sent += 1;
         match client.run(&rtype.0.to_string()) {
-            Ok(Response::Ok { latency_us, .. }) => {
+            Ok(Response::Ok { .. }) => {
                 report.completed += 1;
-                report.latencies_us.push(latency_us);
+                report.latencies_us.push(due.elapsed().as_micros() as u64);
             }
             Ok(Response::Shed { .. }) => report.shed += 1,
             Ok(Response::Busy) => report.busy += 1,
@@ -322,5 +330,34 @@ mod tests {
         assert!(report.percentile_us(99.0) >= report.percentile_us(50.0));
         assert!(out.arrived as u64 >= report.completed + report.shed, "kernel saw the admits");
         assert!(out.invariant_report.is_none(), "{:?}", out.invariant_report);
+    }
+
+    /// What the client waits for covers what the kernel models: over ~1 s
+    /// of load, the client-observed latencies sum to at least the
+    /// server's sum of kernel latencies for the same completions.
+    #[test]
+    fn client_latency_covers_the_kernel_latency() {
+        let exp = mlp_engine::ExperimentConfig::smoke("vmlp").with_seed(29);
+        let server = crate::Server::start(crate::ServeConfig::smoke(exp)).expect("bind");
+        let cfg = LoadgenConfig {
+            addr: server.local_addr().to_string(),
+            schedule: RateSchedule::steady(WorkloadPattern::Constant, 40.0).unwrap(),
+            duration: Duration::from_secs(1),
+            connections: 4,
+            seed: 3,
+            timeout: Duration::from_secs(30),
+        };
+        let report = run(&cfg);
+        let stats = server.stats();
+        server.stop();
+
+        assert!(report.completed > 10, "{report:?}");
+        assert_eq!(report.completed, stats.completed, "the server counted the same completions");
+        let client_us: u64 = report.latencies_us.iter().sum();
+        assert!(
+            client_us >= stats.latency_us_sum,
+            "client-observed {client_us} us < kernel {} us",
+            stats.latency_us_sum
+        );
     }
 }

@@ -89,6 +89,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// The next event and its fire time, without popping it.
+    pub fn peek(&self) -> Option<(SimTime, &E)> {
+        self.heap.peek().map(|e| (e.at, &e.event))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -160,6 +165,20 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(3001)));
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn peek_shows_the_event_that_pops_next() {
+        let mut q = EventQueue::new();
+        assert!(q.peek().is_none());
+        let t = SimTime::from_millis(4);
+        q.schedule(SimTime::from_millis(9), "later");
+        q.schedule(t, "first");
+        q.schedule(t, "second");
+        assert_eq!(q.peek(), Some((t, &"first")));
+        assert_eq!(q.pop(), Some((t, "first")));
+        assert_eq!(q.peek(), Some((t, &"second")));
+        assert_eq!(q.len(), 2);
     }
 }
 
