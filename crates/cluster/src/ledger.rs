@@ -19,21 +19,35 @@
 //! summaries (`BUCKET` levels per bucket) and a cached whole-timeline
 //! minimum level:
 //!
-//! * [`usage_at`](ResourceLedger::usage_at) — one binary search, O(log n).
+//! * [`usage_at`](ResourceLedger::usage_at) — one lookup, O(log d) (see
+//!   below; at most O(log n)).
 //! * [`peak_usage`](ResourceLedger::peak_usage) /
 //!   [`available`](ResourceLedger::available) /
 //!   [`available_if_fits`](ResourceLedger::available_if_fits) /
-//!   [`fits`](ResourceLedger::fits) — binary search + bucket-max range
-//!   query, O(log n + BUCKET + n/BUCKET).
-//! * [`earliest_fit`](ResourceLedger::earliest_fit) — walks only the
-//!   fit/unfit run boundaries inside the window, skipping whole buckets
-//!   via the cached maxima/minima, and gives up at the caller's *latest
-//!   useful start*.
+//!   [`fits`](ResourceLedger::fits) — one lookup for the window's start,
+//!   then a forward scan to its end that folds whole buckets in through
+//!   their maxima, O(log d + BUCKET + n/BUCKET).
+//! * [`earliest_fit`](ResourceLedger::earliest_fit) — one lookup, then
+//!   walks only the fit/unfit run boundaries inside the window, skipping
+//!   whole buckets via the cached maxima/minima, and gives up at the
+//!   caller's *latest useful start*.
 //! * [`might_fit`](ResourceLedger::might_fit) — O(1) conservative
 //!   pre-filter for placement: `false` guarantees no window anywhere in
 //!   the retained future fits `amount`, letting the placement loop prune
 //!   machines without touching the timeline. The cached minimum is
 //!   invalidated (recomputed) only on ledger writes and crashes.
+//!
+//! **Lookup rule.** Every query starts by finding the first breakpoint
+//! strictly after its start instant. The ledger remembers where the last
+//! lookup landed and gallops from there (steps of 1, 2, 4, … toward the
+//! answer, then a binary search inside the bracket), so a lookup `d`
+//! entries from the previous one costs O(log d): a round's probes of one
+//! machine ask about nearby instants. The remembered index is only a
+//! starting point — any value, however stale, gives the same answer — so
+//! no write has to maintain it. Window ends are never searched for: the
+//! scan that folds the window's levels stops at the first breakpoint at
+//! or past the end, and a bucket is folded whole only when its last
+//! breakpoint lies inside the window.
 //!
 //! Writes stay O(n) worst-case (array insert + suffix rebuild), but the
 //! admission loop issues orders of magnitude more queries than writes,
@@ -46,12 +60,14 @@
 //! time does it walk timelines with
 //! [`earliest_fit`](ResourceLedger::earliest_fit), each walk bounded by the
 //! best slot found so far, so a saturated timeline is abandoned as soon as
-//! it cannot win. Both are stateless: an earlier epoch-validated probe memo
-//! measured 0 hits in 64 M probes (a round never asks the same question
-//! twice) and was deleted.
+//! it cannot win. Neither caches an answer (only the lookup's starting
+//! point carries over): an earlier epoch-validated probe memo measured 0
+//! hits in 64 M probes (a round never asks the same question twice) and
+//! was deleted.
 
 use mlp_model::ResourceVector;
 use mlp_sim::SimTime;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Number of profile levels summarized per min/max bucket.
 ///
@@ -140,7 +156,7 @@ use query_stats::Counter;
 /// component-wise *peak* usage over a window, so a fit check is exact
 /// regardless of how reservations overlap. See the module docs for the
 /// index layout and complexity bounds.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ResourceLedger {
     capacity: ResourceVector,
     /// Usage level before the first retained breakpoint (maintained by
@@ -162,6 +178,28 @@ pub struct ResourceLedger {
     ///
     /// [`might_fit`]: ResourceLedger::might_fit
     min_level: ResourceVector,
+    /// Where the last [`after`](ResourceLedger::after) lookup landed: the
+    /// start of the next one's gallop. A start position only, never an
+    /// answer — any value (stale, or past the end after a prune) yields
+    /// the same index. Atomic so `&self` queries can move it while
+    /// `Machine` stays `Sync`.
+    hint: AtomicUsize,
+}
+
+impl Clone for ResourceLedger {
+    fn clone(&self) -> Self {
+        ResourceLedger {
+            capacity: self.capacity,
+            base: self.base,
+            times: self.times.clone(),
+            deltas: self.deltas.clone(),
+            prefix: self.prefix.clone(),
+            bucket_max: self.bucket_max.clone(),
+            bucket_min: self.bucket_min.clone(),
+            min_level: self.min_level,
+            hint: AtomicUsize::new(self.hint.load(Relaxed)),
+        }
+    }
 }
 
 impl ResourceLedger {
@@ -176,6 +214,7 @@ impl ResourceLedger {
             bucket_max: Vec::new(),
             bucket_min: Vec::new(),
             min_level: ResourceVector::ZERO,
+            hint: AtomicUsize::new(0),
         }
     }
 
@@ -279,10 +318,59 @@ impl ResourceLedger {
         self.write(from, to, amount, false);
     }
 
+    /// Index of the first breakpoint strictly after `t_us` — exactly
+    /// `times.partition_point(|&x| x <= t_us)` — found by galloping from
+    /// the last lookup's answer: exponential steps away from the hint
+    /// until the answer is bracketed, then a binary search inside the
+    /// bracket. Consecutive probes of one ledger land a few entries
+    /// apart, so this costs O(log d) for a distance `d` instead of
+    /// O(log n).
+    fn after(&self, t_us: u64) -> usize {
+        let times = &self.times;
+        let n = times.len();
+        let h = self.hint.load(Relaxed).min(n);
+        let (lo, hi) = if h == 0 || times[h - 1] <= t_us {
+            // Answer at or right of `h`: every `times[..lo]` is `<= t_us`.
+            let mut lo = h;
+            let mut step = 1;
+            let hi = loop {
+                let probe = lo + step - 1;
+                if probe >= n {
+                    break n;
+                }
+                if times[probe] > t_us {
+                    break probe;
+                }
+                lo = probe + 1;
+                step *= 2;
+            };
+            (lo, hi)
+        } else {
+            // Answer left of `h`: every `times[hi..]` is `> t_us`.
+            let mut hi = h - 1;
+            let mut step = 1;
+            let lo = loop {
+                if hi < step {
+                    break 0;
+                }
+                let probe = hi - step;
+                if times[probe] <= t_us {
+                    break probe + 1;
+                }
+                hi = probe;
+                step *= 2;
+            };
+            (lo, hi)
+        };
+        let idx = lo + times[lo..hi].partition_point(|&x| x <= t_us);
+        self.hint.store(idx, Relaxed);
+        idx
+    }
+
     /// Usage level in force at instant `t` (index into the profile).
     #[inline]
     fn level_at(&self, t_us: u64) -> ResourceVector {
-        let idx = self.times.partition_point(|&x| x <= t_us);
+        let idx = self.after(t_us);
         if idx == 0 {
             self.base
         } else {
@@ -297,20 +385,22 @@ impl ResourceLedger {
     }
 
     /// Component-wise peak planned usage over `[from, to)`.
-    /// O(log n + BUCKET + n/BUCKET) via the bucket maxima.
+    /// O(log d + BUCKET + n/BUCKET) via the bucket maxima.
     pub fn peak_usage(&self, from: SimTime, to: SimTime) -> ResourceVector {
         query_stats::count(Counter::PeakUsage);
         // Breakpoints strictly inside (from, to): same key range the
         // reference scan visits (`from+1 ..= to-1` on µs keys). `lo` is
-        // also exactly the partition point `level_at(from)` searches for,
-        // so the level in force at `from` falls out without a second
-        // binary search.
-        let lo = self.times.partition_point(|&x| x <= from.as_micros());
+        // also exactly the index `level_at(from)` looks up, so the level
+        // in force at `from` falls out of the same lookup. The window's
+        // end is found by scanning forward, not searched for.
+        let lo = self.after(from.as_micros());
         let mut peak = if lo == 0 { self.base } else { self.prefix[lo - 1] };
-        let hi = self.times.partition_point(|&x| x < to.as_micros());
+        let (times, to) = (&self.times, to.as_micros());
         let mut i = lo;
-        while i < hi {
-            if i % BUCKET == 0 && i + BUCKET <= hi {
+        while i < times.len() && times[i] < to {
+            // A whole bucket folds in through its maximum only when its
+            // last breakpoint still lies inside the window.
+            if i.is_multiple_of(BUCKET) && i + BUCKET <= times.len() && times[i + BUCKET - 1] < to {
                 peak = peak.max(&self.bucket_max[i / BUCKET]);
                 i += BUCKET;
             } else {
@@ -459,7 +549,7 @@ impl ResourceLedger {
         let start_limit = latest.map_or(h, |t| h.min(t.as_micros().saturating_add(1)));
         // First breakpoint strictly after `from`; the level entering
         // `from` is the profile value just before it.
-        let start = self.times.partition_point(|&x| x <= from.as_micros());
+        let start = self.after(from.as_micros());
         let entry = if start == 0 { self.base } else { self.prefix[start - 1] };
         // `candidate` is the earliest start instant whose fit-run is still
         // open; it survives unless a non-fitting breakpoint appears before
@@ -500,9 +590,9 @@ impl ResourceLedger {
         limit: u64,
         fits: &impl Fn(&ResourceVector) -> bool,
     ) -> Option<usize> {
-        let hi = self.times.partition_point(|&x| x < limit);
+        let times = &self.times;
         let mut j = i;
-        while j < hi {
+        while j < times.len() && times[j] < limit {
             if j.is_multiple_of(BUCKET) {
                 let b = j / BUCKET;
                 if fits(&self.bucket_max[b]) {
@@ -591,9 +681,9 @@ impl ResourceLedger {
         limit: u64,
         fits: &impl Fn(&ResourceVector) -> bool,
     ) -> Option<usize> {
-        let hi = self.times.partition_point(|&x| x < limit);
+        let times = &self.times;
         let mut j = i;
-        while j < hi {
+        while j < times.len() && times[j] < limit {
             if j.is_multiple_of(BUCKET) {
                 let b = j / BUCKET;
                 if !fits(&self.bucket_min[b]) {
@@ -786,6 +876,43 @@ mod tests {
     }
 
     #[test]
+    fn gallop_from_any_hint_equals_partition_point() {
+        // xorshift64: random strictly sorted timelines without a dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0usize, 1, 2, 3, 7, 63, 64, 65, 130, 200] {
+            let mut l = ResourceLedger::new(rv(1.0));
+            let mut at = 0u64;
+            l.times = (0..len)
+                .map(|_| {
+                    at += 1 + next() % 5; // gaps of 1..=5 µs; first point > 0
+                    at
+                })
+                .collect();
+            // Before, on, between (gaps > 1) and after every breakpoint.
+            let mut probes = vec![0, u64::MAX];
+            for &x in &l.times {
+                probes.extend([x - 1, x, x + 1]);
+            }
+            for hint in 0..=len + 2 {
+                for &t in &probes {
+                    l.hint.store(hint, Relaxed);
+                    assert_eq!(
+                        l.after(t),
+                        l.times.partition_point(|&x| x <= t),
+                        "len={len} hint={hint} t={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn long_timelines_cross_bucket_boundaries() {
         // > 2 buckets of points; peaks and fits must see across chunks.
         let mut l = ResourceLedger::new(rv(10.0));
@@ -876,10 +1003,66 @@ mod prop_tests {
         })
     }
 
+    /// Every query of one probe, asked of both ledgers; the answers must
+    /// be bit-identical.
+    fn check_probe(fast: &ResourceLedger, naive: &NaiveLedger, probe: (u64, u64, f64, u64)) {
+        let (start, len, amt, dur) = probe;
+        let from = SimTime::from_millis(start);
+        let to = SimTime::from_millis(start + len);
+        let amount = rv(amt);
+        let d = SimDuration::from_millis(dur);
+        assert_eq!(fast.usage_at(from), naive.usage_at(from));
+        assert_eq!(fast.peak_usage(from, to), naive.peak_usage(from, to));
+        assert_eq!(fast.available(from, to), naive.available(from, to));
+        assert_eq!(fast.fits(from, to, amount), naive.fits(from, to, amount));
+        // Several horizons, including ones inside the busy region.
+        for h in [start + 1, start + len, 400] {
+            let horizon = SimTime::from_millis(h);
+            let unbounded = naive.earliest_fit(from, horizon, d, amount);
+            assert_eq!(
+                fast.earliest_fit(from, horizon, d, amount, None),
+                unbounded,
+                "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt})"
+            );
+            // A latest useful start keeps the unbounded answer when that
+            // is early enough and answers `None` otherwise — bounds before
+            // `from`, on breakpoints, on the answer itself and past the
+            // horizon.
+            let on_answer = unbounded.map_or(start, |s| s.as_micros() / 1000);
+            for b in [start.saturating_sub(1), start, start + len / 2, on_answer, h + 7] {
+                let bound = SimTime::from_millis(b);
+                assert_eq!(
+                    fast.earliest_fit(from, horizon, d, amount, Some(bound)),
+                    unbounded.filter(|&s| s <= bound),
+                    "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt}, \
+                     latest={b}ms)"
+                );
+            }
+        }
+        // One window-peak query settles "starts at `from`": inside the
+        // horizon it agrees with the timeline walk.
+        if dur > 0 {
+            assert_eq!(
+                fast.available_if_fits(from, from + d, amount),
+                (naive.earliest_fit(from, from + d, d, amount) == Some(from))
+                    .then(|| naive.available(from, from + d))
+            );
+        }
+        // The O(1) hint must never contradict a found slot (a zero-length
+        // window is not a slot: it fits anywhere).
+        if dur > 0 && !fast.might_fit(amount) {
+            assert_eq!(fast.earliest_fit(from, SimTime::from_millis(400), d, amount, None), None);
+        }
+    }
+
     proptest! {
         /// Equivalence oracle: any sequence of reserve / unreserve /
         /// prune / clear leaves the indexed ledger answering every query
         /// *bit-identically* to the naive reference implementation.
+        ///
+        /// A probe follows every mutation, so the lookup hint the next
+        /// probe gallops from is stale, shifted by inserts and removals,
+        /// or past the end after a prune or clear.
         #[test]
         fn matches_naive_reference(
             ops in prop::collection::vec(arb_op(), 0..80),
@@ -888,7 +1071,7 @@ mod prop_tests {
             let cap = rv(4.0);
             let mut fast = ResourceLedger::new(cap);
             let mut naive = NaiveLedger::new(cap);
-            for op in ops {
+            for (k, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Reserve(s, l, a) => {
                         let (f, t) = (SimTime::from_millis(s), SimTime::from_millis(s + l));
@@ -913,57 +1096,10 @@ mod prop_tests {
                 // to exactly zero; the naive oracle retains them. It may
                 // therefore hold fewer points, never more.
                 prop_assert!(fast.timeline_len() <= naive.timeline_len());
+                check_probe(&fast, &naive, probes[k % probes.len()]);
             }
-            for (start, len, amt, dur) in probes {
-                let from = SimTime::from_millis(start);
-                let to = SimTime::from_millis(start + len);
-                let amount = rv(amt);
-                let d = SimDuration::from_millis(dur);
-                prop_assert_eq!(fast.usage_at(from), naive.usage_at(from));
-                prop_assert_eq!(fast.peak_usage(from, to), naive.peak_usage(from, to));
-                prop_assert_eq!(fast.available(from, to), naive.available(from, to));
-                prop_assert_eq!(fast.fits(from, to, amount), naive.fits(from, to, amount));
-                // Several horizons, including ones inside the busy region.
-                for h in [start + 1, start + len, 400] {
-                    let horizon = SimTime::from_millis(h);
-                    let unbounded = naive.earliest_fit(from, horizon, d, amount);
-                    prop_assert_eq!(
-                        fast.earliest_fit(from, horizon, d, amount, None),
-                        unbounded,
-                        "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt})"
-                    );
-                    // A latest useful start keeps the unbounded answer when
-                    // that is early enough and answers `None` otherwise —
-                    // bounds before `from`, on breakpoints, on the answer
-                    // itself and past the horizon.
-                    let on_answer = unbounded.map_or(start, |s| s.as_micros() / 1000);
-                    for b in [start.saturating_sub(1), start, start + len / 2, on_answer, h + 7] {
-                        let bound = SimTime::from_millis(b);
-                        prop_assert_eq!(
-                            fast.earliest_fit(from, horizon, d, amount, Some(bound)),
-                            unbounded.filter(|&s| s <= bound),
-                            "earliest_fit(from={start}ms, horizon={h}ms, dur={dur}ms, amt={amt}, \
-                             latest={b}ms)"
-                        );
-                    }
-                }
-                // One window-peak query settles "starts at `from`": inside
-                // the horizon it agrees with the timeline walk.
-                if dur > 0 {
-                    prop_assert_eq!(
-                        fast.available_if_fits(from, from + d, amount),
-                        (naive.earliest_fit(from, from + d, d, amount) == Some(from))
-                            .then(|| naive.available(from, from + d))
-                    );
-                }
-                // The O(1) hint must never contradict a found slot (a
-                // zero-length window is not a slot: it fits anywhere).
-                if dur > 0 && !fast.might_fit(amount) {
-                    prop_assert_eq!(
-                        fast.earliest_fit(from, SimTime::from_millis(400), d, amount, None),
-                        None
-                    );
-                }
+            for probe in probes {
+                check_probe(&fast, &naive, probe);
             }
         }
     }

@@ -51,7 +51,9 @@ pub fn earliest_slot<'a>(
     let live = machines.filter(|m| m.is_up()); // crashed machines take no new plans
 
     if budget > SimDuration::ZERO && ready + budget <= horizon_end {
-        let mut roomiest: Option<(MachineId, f64)> = None;
+        // The best so far: id, headroom score, and the free vector and
+        // capacity it was scored from.
+        let mut roomiest: Option<(MachineId, f64, ResourceVector, ResourceVector)> = None;
         for m in live.clone() {
             let Some(free) = m.ledger.available_if_fits(ready, ready + budget, grant) else {
                 continue;
@@ -59,15 +61,28 @@ pub fn earliest_slot<'a>(
             if tie == SlotTie::FirstInScan {
                 return Some((m.id, ready));
             }
+            // Dominated: against an equal capacity the score is monotone
+            // in every free component (IEEE division and addition round
+            // monotonically), so a machine with no more free anywhere
+            // cannot score strictly higher and never displaces the best —
+            // skip its three divisions.
+            if roomiest.is_some_and(|(_, _, best, cap)| {
+                cap == m.capacity
+                    && free.cpu <= best.cpu
+                    && free.mem <= best.mem
+                    && free.io <= best.io
+            }) {
+                continue;
+            }
             let headroom = free.utilization_against(&m.capacity);
-            if roomiest.is_none_or(|(_, h)| headroom > h) {
-                roomiest = Some((m.id, headroom));
+            if roomiest.is_none_or(|(_, h, _, _)| headroom > h) {
+                roomiest = Some((m.id, headroom, free, m.capacity));
                 if headroom >= 1.0 {
                     break;
                 }
             }
         }
-        if let Some((m, _)) = roomiest {
+        if let Some((m, ..)) = roomiest {
             return Some((m, ready));
         }
     }
@@ -652,6 +667,47 @@ mod tests {
             let after = m.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
             assert_eq!(after, before, "machine {:?} not rolled back", m.id);
         }
+    }
+
+    #[test]
+    fn dominated_scores_are_skipped_without_changing_the_pick() {
+        let a = ResourceVector::new(6.0, 32_000.0, 1_000.0);
+        let larger = ResourceVector::new(12.0, 64_000.0, 2_000.0);
+        let smaller = ResourceVector::new(2.0, 10_000.0, 300.0);
+        let mut cluster = Cluster::heterogeneous(vec![a, a, larger, smaller, smaller]);
+        let busy = [
+            ResourceVector::new(3.0, 16_000.0, 500.0), // m0: headroom 0.5
+            ResourceVector::new(4.0, 20_000.0, 600.0), // m1: dominated by m0, same capacity
+            ResourceVector::new(5.0, 30_000.0, 900.0), // m2: more free than m0, displaces it
+            ResourceVector::new(0.2, 1_000.0, 30.0),   // m3: less free than m2, yet roomier
+            ResourceVector::new(0.4, 2_000.0, 60.0),   // m4: dominated by m3, same capacity
+        ];
+        for (m, amount) in cluster.machines_mut().iter_mut().zip(busy) {
+            m.ledger.reserve(SimTime::ZERO, SimTime::from_secs(1), amount);
+        }
+        let (ready, budget) = (SimTime::ZERO, SimDuration::from_millis(10));
+        let horizon = SimTime::from_secs(10);
+        let grant = ResourceVector::new(1.0, 1_000.0, 50.0);
+
+        // Score every candidate; the first strictly greater score wins.
+        let mut scored: Option<(MachineId, f64)> = None;
+        for m in cluster.machines() {
+            let free = m.ledger.available_if_fits(ready, ready + budget, grant).unwrap();
+            let h = free.utilization_against(&m.capacity);
+            if scored.is_none_or(|(_, best)| h > best) {
+                scored = Some((m.id, h));
+            }
+        }
+        let picked = earliest_slot(
+            cluster.machines().iter(),
+            ready,
+            horizon,
+            budget,
+            grant,
+            SlotTie::MostHeadroom,
+        );
+        assert_eq!(picked, scored.map(|(m, _)| (m, ready)));
+        assert_eq!(picked, Some((MachineId(3), ready)), "the smaller machine is the roomiest");
     }
 
     #[test]

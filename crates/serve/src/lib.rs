@@ -176,7 +176,13 @@ const READ_TIMEOUT: Duration = Duration::from_millis(500);
 impl Server {
     /// Binds the listener, spins up the pool and the kernel thread, and
     /// returns once the server is accepting.
+    ///
+    /// A scheme the registry cannot build is refused with
+    /// [`io::ErrorKind::InvalidInput`] before anything is bound or spawned.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
+        mlp_engine::default_registry()
+            .validate_spec(&cfg.experiment.scheme)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -209,7 +215,7 @@ impl Server {
                 let mut rng = root.fork(1);
                 let mut sched = mlp_engine::default_registry()
                     .build(&exp.scheme, exp.seed)
-                    .expect("serve config carries a valid scheme");
+                    .expect("`start` validated the scheme");
                 mlp_engine::live::run_live(
                     &exp,
                     &catalog,
@@ -624,6 +630,20 @@ mod tests {
         }
         let out = server.stop();
         assert_eq!(out.arrived, 1);
+    }
+
+    #[test]
+    fn invalid_scheme_is_refused_before_binding() {
+        // A free loopback port, released again for the server to try.
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let exp = ExperimentConfig::smoke("vmlp:bogus=1").with_seed(17);
+        let cfg = ServeConfig { addr: addr.to_string(), ..ServeConfig::smoke(exp) };
+        let err = Server::start(cfg).err().expect("an unknown param must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("bogus"), "{err}");
+        // Threads are spawned only after the bind, and the acceptor would
+        // own the listener: the port being free means none was started.
+        TcpListener::bind(addr).expect("nothing kept the port");
     }
 
     /// Reads one HTTP response (headers + Content-Length body).

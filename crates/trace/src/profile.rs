@@ -25,10 +25,64 @@ pub struct ExecutionCase {
     pub exec_ms: f64,
 }
 
+/// A service's retained cases, oldest first: a `Vec` whose first `start`
+/// entries are already evicted. Eviction only advances `start`; the dead
+/// prefix is dropped in one move once it is as long as the live window,
+/// so evicting one case costs amortised O(1) instead of shifting the whole
+/// window down. Serialises as the live window alone, a plain array.
+#[derive(Debug, Clone, Default)]
+struct CaseWindow {
+    buf: Vec<ExecutionCase>,
+    start: usize,
+}
+
+impl CaseWindow {
+    /// The live cases, oldest first.
+    fn live(&self) -> &[ExecutionCase] {
+        &self.buf[self.start..]
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn push(&mut self, case: ExecutionCase) {
+        self.buf.push(case);
+    }
+
+    /// Evicts the `n` oldest live cases, handing each to `on_evict` in
+    /// order, oldest first.
+    fn evict(&mut self, n: usize, on_evict: impl FnMut(&ExecutionCase)) {
+        let end = self.start + n;
+        self.buf[self.start..end].iter().for_each(on_evict);
+        self.start = end;
+        if self.start >= self.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+    }
+}
+
+impl Serialize for CaseWindow {
+    fn to_value(&self) -> serde::Value {
+        self.live().to_value()
+    }
+}
+
+impl Deserialize for CaseWindow {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(CaseWindow { buf: Vec::from_value(v)?, start: 0 })
+    }
+}
+
 /// Per-service history of execution cases with cached aggregates.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct ServiceHistory {
-    cases: Vec<ExecutionCase>,
+    cases: CaseWindow,
     #[serde(skip)]
     exec_summary: Summary,
     #[serde(skip)]
@@ -63,11 +117,12 @@ impl ServiceHistory {
     /// lockstep (or rebuilding it if it was stale).
     fn evict(&mut self, overflow: usize) {
         let in_sync = self.ranked.len() == self.cases.len();
-        for c in self.cases.drain(..overflow) {
+        let ranked = &mut self.ranked;
+        self.cases.evict(overflow, |c| {
             if in_sync {
-                self.ranked.remove_one(c.exec_ms);
+                ranked.remove_one(c.exec_ms);
             }
-        }
+        });
         if !in_sync {
             self.rebuild_ranked();
         }
@@ -75,7 +130,7 @@ impl ServiceHistory {
     }
 
     fn rebuild_ranked(&mut self) {
-        let samples: Vec<f64> = self.cases.iter().map(|c| c.exec_ms).collect();
+        let samples: Vec<f64> = self.cases.live().iter().map(|c| c.exec_ms).collect();
         self.ranked = RankedSamples::from_samples(&samples);
     }
 }
@@ -164,7 +219,7 @@ impl ProfileStore {
 
     /// Retained execution cases (oldest first).
     pub fn cases(&self, service: ServiceId) -> &[ExecutionCase] {
-        self.histories.get(&service.0).map_or(&[], |h| h.cases.as_slice())
+        self.histories.get(&service.0).map_or(&[], |h| h.cases.live())
     }
 
     /// Mean observed execution time (ms); `None` with no history.
@@ -187,7 +242,7 @@ impl ProfileStore {
             ),
             Some(h) if !h.cases.is_empty() => {
                 let mut v = ResourceVector::ZERO;
-                for c in &h.cases {
+                for c in h.cases.live() {
                     v += c.usage;
                 }
                 v * (1.0 / h.cases.len() as f64)
@@ -202,7 +257,7 @@ impl ProfileStore {
             return None;
         }
         let mut s = Summary::new();
-        for c in &h.cases {
+        for c in h.cases.live() {
             s.record(c.exec_ms);
         }
         Some(s)
@@ -454,6 +509,30 @@ mod tests {
         p.record(S, case(1.0));
         assert_eq!(q.delta_t_ms(S, 80.0, 0.99, 0.0), p.delta_t_ms(S, 80.0, 0.99, 0.0));
         assert_eq!(q.min_exec_ms(S), Some(1.0));
+    }
+
+    #[test]
+    fn evicted_window_round_trips_oldest_first() {
+        // 20 evictions from a window of 8: the dead prefix is compacted
+        // away twice and the last window starts mid-buffer.
+        let mut p = ProfileStore::with_retention(8);
+        let exec = |i: u32| ((i * 37) % 23) as f64 / 3.0 + 0.5;
+        for i in 0..28 {
+            p.record(S, case(exec(i)));
+        }
+        assert_eq!(p.histories[&S.0].cases.start, 4);
+        let window: Vec<f64> = p.cases(S).iter().map(|c| c.exec_ms).collect();
+        assert_eq!(window, (20..28).map(exec).collect::<Vec<_>>(), "newest 8, oldest first");
+
+        let js = serde_json::to_string(&p).unwrap();
+        let q: ProfileStore = serde_json::from_str(&js).unwrap();
+        assert_eq!(q.cases(S), p.cases(S));
+        assert_eq!(q.case_count(S), 8);
+        for &(x, pct) in &[(100.0, 0.5), (62.5, 0.99), (30.0, 0.5)] {
+            let (a, b) = (q.delta_t_ms(S, x, pct, -1.0), p.delta_t_ms(S, x, pct, -1.0));
+            assert_eq!(a.to_bits(), b.to_bits(), "x={x} q={pct}");
+        }
+        assert_eq!(q.min_exec_ms(S).map(f64::to_bits), p.min_exec_ms(S).map(f64::to_bits));
     }
 
     #[test]
