@@ -36,7 +36,6 @@ pub struct ServeScale {
     pub offered_rps: f64,
     pub duration_s: f64,
     pub connections: usize,
-    pub net_workers: usize,
     pub label: &'static str,
 }
 
@@ -48,7 +47,6 @@ impl ServeScale {
                 offered_rps: 1100.0,
                 duration_s: 60.0,
                 connections: 900,
-                net_workers: 1000,
                 label: "paper",
             },
             "tiny" => ServeScale {
@@ -56,7 +54,6 @@ impl ServeScale {
                 offered_rps: 80.0,
                 duration_s: 6.0,
                 connections: 64,
-                net_workers: 80,
                 label: "tiny",
             },
             _ => ServeScale {
@@ -64,7 +61,6 @@ impl ServeScale {
                 offered_rps: 200.0,
                 duration_s: 12.0,
                 connections: 160,
-                net_workers: 192,
                 label: "small",
             },
         }
@@ -114,7 +110,6 @@ pub fn run(scale: &Scale, seed: u64) -> ServePoint {
 
     let serve_cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        workers: s.net_workers,
         queue_cap: 4096,
         request_timeout: Duration::from_secs(60),
         drain_timeout: Duration::from_secs(30),
@@ -246,7 +241,6 @@ mod tests {
             // ~400 ms unloaded p99 so blocking rarely delays an arrival.
             let gap_s = s.connections as f64 / s.offered_rps;
             assert!(gap_s > 0.4, "{}: mean per-connection gap {gap_s:.2}s", s.label);
-            assert!(s.net_workers > s.connections / 2);
         }
     }
 

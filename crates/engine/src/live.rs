@@ -8,8 +8,8 @@
 //! bounded channel, and scheduled events fire as timer expirations. The
 //! serve layer (the `mlp-serve` crate) sits in front: it accepts TCP
 //! connections, turns each request line into a `Submission` carrying a
-//! fresh token, and parks the connection's worker until the kernel pushes
-//! the token's [`LiveOutcome`] back through the notify sink.
+//! fresh token, and answers the connection when the kernel pushes the
+//! token's [`LiveOutcome`] back through the notify sink.
 //!
 //! Determinism does not survive the wall clock — two live runs interleave
 //! differently by construction — so live mode gates on the invariant
@@ -34,8 +34,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Submission {
     /// Caller-chosen correlation token, echoed back in the
-    /// [`LiveOutcome`]. The serve layer allocates these from an atomic
-    /// counter, one per in-flight connection request.
+    /// [`LiveOutcome`]. The serve layer allocates these from a counter,
+    /// one per request it submits.
     pub token: u64,
     /// Which request DAG to run.
     pub rtype: RequestTypeId,

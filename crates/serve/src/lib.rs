@@ -1,31 +1,29 @@
 //! # mlp-serve — live TCP front door for the wall-clock kernel
 //!
 //! Puts the simulator's event-application loop behind a socket. A
-//! [`Server`] binds a `std::net` listener (the workspace is vendored-only:
-//! no tokio, no hyper), runs a small accept/worker thread pool, and feeds
-//! a bounded submission queue into the engine's live kernel
-//! ([`mlp_engine::live::run_live`]) running on its own thread. Each
-//! connection worker parks on a rendezvous channel until the kernel pushes
-//! the request's terminal [`LiveOutcome`] back through the notify sink,
-//! then writes the per-request latency down the wire in either the line
-//! protocol or minimal HTTP/1.1 (see [`protocol`]).
-//!
-//! Threads and ownership:
+//! [`Server`] runs two threads: the engine's live kernel
+//! ([`mlp_engine::live::run_live`]) and `mlp-serve`, one `poll(2)` loop
+//! over a `std::net` listener, a wake socket and every connection (the
+//! workspace is vendored-only: no tokio, no hyper; Unix only). The loop
+//! frames requests out of per-connection buffers, `try_send`s each `RUN`
+//! into the bounded submission queue, and writes the kernel's
+//! [`LiveOutcome`] back in the line protocol or minimal HTTP/1.1 (see
+//! [`protocol`]). A connection has one request in flight at a time, so its
+//! replies keep request order. Nothing wakes on a timer to look for work.
 //!
 //! ```text
-//!  acceptor ──TcpStream──▶ workers (N) ──Submission──▶ kernel thread
-//!     │                      ▲   │ park on token          │
-//!     │ polls listener +     │   └──────registers────▶ pending map
-//!     │ shutdown flag        └──────LiveOutcome◀───── notify sink
+//!  clients ⇄ mlp-serve poll loop ──Submission (bounded)──▶ mlp-kernel
+//!            owns sockets, tokens,  ◀── outcome queue + wake byte ── notify sink
+//!            token → connection map, timeout FIFO
 //! ```
 //!
 //! Shutdown is cooperative: [`Server::stop`] (or SIGINT via
-//! `mlp_engine::shutdown`) raises the flag; the acceptor stops accepting,
-//! workers answer `DRAINING` to new work and exit when their connection
-//! closes or times out, dropping the submission senders; the kernel then
-//! drains in-flight requests (bounded by `drain_timeout`), reports
-//! stragglers as `Dropped`, and returns the run's [`SimOutput`] — auditor
-//! verdict included — to the `stop` caller.
+//! `mlp_engine::shutdown`) raises the flag and wakes the loop, which stops
+//! accepting, answers `DRAINING` to new work and closes connections that
+//! owe no reply. The kernel drains in-flight requests (bounded by
+//! `drain_timeout`) and reports stragglers as `Dropped`; once it returns,
+//! the loop answers what never reached it and exits, and `stop` returns
+//! the run's [`SimOutput`] — auditor verdict included.
 
 pub mod loadgen;
 pub mod protocol;
@@ -37,28 +35,28 @@ use mlp_engine::ExperimentConfig;
 use mlp_model::{RequestCatalog, RequestTypeId};
 use mlp_sim::SimRng;
 use protocol::{Mode, Request, Response};
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the front door is sized and how patient it is.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7411` (port 0 picks a free port).
     pub addr: String,
-    /// Connection-handling worker threads.
-    pub workers: usize,
     /// Bounded submission-queue depth between the front door and the
     /// kernel; `BUSY` past this point (the paper's admission gate then
     /// sheds *inside* the kernel — this cap only bounds the handoff).
     pub queue_cap: usize,
-    /// How long a worker waits for the kernel's outcome before answering
-    /// `TIMEOUT` (the request itself keeps running).
+    /// How long a request waits for the kernel's outcome before it is
+    /// answered `TIMEOUT` (the request itself keeps running).
     pub request_timeout: Duration,
     /// How long shutdown waits for in-flight requests to finish.
     pub drain_timeout: Duration,
@@ -73,7 +71,6 @@ impl ServeConfig {
     pub fn smoke(experiment: ExperimentConfig) -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
             queue_cap: 256,
             request_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(10),
@@ -82,22 +79,13 @@ impl ServeConfig {
     }
 }
 
-/// Monotone counters the server exposes via `STATS` / `GET /stats`.
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    completed: AtomicU64,
-    shed: AtomicU64,
-    busy: AtomicU64,
-    timeouts: AtomicU64,
-    draining: AtomicU64,
-    errors: AtomicU64,
-    latency_us_sum: AtomicU64,
-}
+/// Longest request a connection may buffer (a line, or an HTTP request
+/// line plus headers); past it the answer is `ERR request too long` (HTTP
+/// `400`) and a close.
+const MAX_REQUEST_BYTES: usize = 16 * 1024;
 
-/// A point-in-time copy of the server counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The server counters, exposed via `STATS` / `GET /stats`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub connections: u64,
     pub requests: u64,
@@ -109,22 +97,6 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Sum of completed-request latencies, for mean-latency readouts.
     pub latency_us_sum: u64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            draining: self.draining.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            latency_us_sum: self.latency_us_sum.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl StatsSnapshot {
@@ -144,38 +116,67 @@ impl StatsSnapshot {
     }
 }
 
-/// Everything a connection worker needs, shared across the pool.
+/// Every update under these locks (a counter bump, a push, a flag) leaves
+/// the data valid, so a lock poisoned by a panicking holder stays usable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the loop shares with the kernel thread and the [`Server`] handle.
 struct Shared {
-    catalog: RequestCatalog,
-    /// token → the parked worker's rendezvous sender.
-    pending: Mutex<HashMap<u64, SyncSender<LiveOutcome>>>,
-    next_token: AtomicU64,
-    submissions: SyncSender<Submission>,
     shutdown: Arc<AtomicBool>,
-    counters: Counters,
-    request_timeout: Duration,
+    stats: Mutex<StatsSnapshot>,
+    /// Outcomes the notify sink pushed that the loop has not taken yet,
+    /// and whether the kernel has returned (no outcome follows).
+    inbox: Mutex<(Vec<LiveOutcome>, bool)>,
+    /// Write end of the loop's wake socket.
+    waker: UnixStream,
+}
+
+impl Shared {
+    /// A full wake socket already holds a wake-up, so a failed write
+    /// loses nothing.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+}
+
+/// The notify sink. It wakes the loop only when the queue was empty;
+/// otherwise a wake-up is on its way already. It is dropped when the
+/// kernel returns (or panics), which tells the loop that no outcome follows.
+struct KernelSink(Arc<Shared>);
+
+impl KernelSink {
+    fn deliver(&self, outcome: LiveOutcome) {
+        let mut inbox = lock(&self.0.inbox);
+        inbox.0.push(outcome);
+        let first = inbox.0.len() == 1;
+        drop(inbox);
+        if first {
+            self.0.wake();
+        }
+    }
+}
+
+impl Drop for KernelSink {
+    fn drop(&mut self) {
+        lock(&self.0.inbox).1 = true;
+        self.0.wake();
+    }
 }
 
 /// A running live server. Dropping it without [`Server::stop`] detaches
 /// the threads; call `stop` to drain and collect the kernel's output.
 pub struct Server {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     shared: Arc<Shared>,
-    acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    front_door: JoinHandle<()>,
     kernel: JoinHandle<SimOutput>,
 }
 
-/// How often blocked accept/recv loops re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(20);
-/// Per-stream read timeout so idle keep-alive connections still observe
-/// shutdown.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
-
 impl Server {
-    /// Binds the listener, spins up the pool and the kernel thread, and
-    /// returns once the server is accepting.
+    /// Binds the listener, spins up the front-door loop and the kernel
+    /// thread, and returns once the server is accepting.
     ///
     /// A scheme the registry cannot build is refused with
     /// [`io::ErrorKind::InvalidInput`] before anything is bound or spawned.
@@ -186,29 +187,25 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (sub_tx, sub_rx) = mpsc::sync_channel::<Submission>(cfg.queue_cap.max(1));
-        let catalog = RequestCatalog::paper();
-
+        let (wake, waker) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        waker.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
-            catalog: RequestCatalog::paper(),
-            pending: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(0),
-            submissions: sub_tx,
-            shutdown: Arc::clone(&shutdown),
-            counters: Counters::default(),
-            request_timeout: cfg.request_timeout,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            stats: Mutex::default(),
+            inbox: Mutex::default(),
+            waker,
         });
+        let (sub_tx, sub_rx) = mpsc::sync_channel::<Submission>(cfg.queue_cap.max(1));
 
-        // Kernel thread: owns the live run end to end. The notify sink
-        // unparks whichever worker registered the outcome's token.
+        // Kernel thread: owns the live run end to end.
         let kernel = {
             let exp = cfg.experiment.clone();
-            let kernel_shutdown = Arc::clone(&shutdown);
-            let notify_shared = Arc::clone(&shared);
+            let kernel_shutdown = Arc::clone(&shared.shutdown);
+            let sink = KernelSink(Arc::clone(&shared));
             let opts = LiveOptions { drain_timeout: cfg.drain_timeout, ..LiveOptions::default() };
             std::thread::Builder::new().name("mlp-kernel".into()).spawn(move || {
+                let catalog = RequestCatalog::paper();
                 let root = SimRng::new(exp.seed);
                 let mut warm_rng = root.fork(2);
                 let profiles = warm_profiles(&catalog, exp.warmup_cases, &mut warm_rng);
@@ -225,53 +222,27 @@ impl Server {
                     sub_rx,
                     kernel_shutdown,
                     &opts,
-                    Box::new(move |o| notify_shared.deliver(o)),
+                    Box::new(move |o| sink.deliver(o)),
                 )
             })?
         };
 
-        // Worker pool: a shared MPMC-by-mutex receiver of accepted streams.
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-        let mut workers = Vec::with_capacity(cfg.workers.max(1));
-        for i in 0..cfg.workers.max(1) {
-            let rx = Arc::clone(&conn_rx);
-            let sh = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("mlp-serve-{i}"))
-                    .spawn(move || worker_loop(rx, sh))?,
-            );
-        }
-
-        // Acceptor: polls the nonblocking listener against the flag.
-        let acceptor = {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new().name("mlp-accept".into()).spawn(move || {
-                loop {
-                    if sh.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            sh.counters.connections.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-                            let _ = stream.set_nodelay(true);
-                            if conn_tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(_) => std::thread::sleep(POLL),
-                    }
-                }
-                // Dropping conn_tx here lets idle workers run down.
-            })?
+        let door = FrontDoor {
+            shared: Arc::clone(&shared),
+            listener: Some(listener),
+            wake,
+            conns: HashMap::new(),
+            next_conn: 0,
+            catalog: RequestCatalog::paper(),
+            submissions: sub_tx,
+            next_token: 0,
+            pending: HashMap::new(),
+            deadlines: VecDeque::new(),
+            request_timeout: cfg.request_timeout,
         };
-
-        Ok(Server { addr, shutdown, shared, acceptor, workers, kernel })
+        let front_door =
+            std::thread::Builder::new().name("mlp-serve".into()).spawn(move || door.run())?;
+        Ok(Server { addr, shared, front_door, kernel })
     }
 
     /// The bound address (resolves port 0).
@@ -282,198 +253,383 @@ impl Server {
     /// The flag `stop` raises; share it with a signal handler to make
     /// ctrl-c initiate the same drain.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        Arc::clone(&self.shared.shutdown)
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.counters.snapshot()
+        *lock(&self.shared.stats)
     }
 
-    /// Raises the shutdown flag, drains, joins every thread, and returns
+    /// Raises the shutdown flag, drains, joins both threads, and returns
     /// the kernel's output (with the auditor's verdict if enabled).
     pub fn stop(self) -> SimOutput {
-        self.shutdown.store(true, Ordering::Relaxed);
-        let _ = self.acceptor.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
-        // All submission senders are gone once the workers exit; the
-        // kernel drains and returns.
+        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.wake();
+        let _ = self.front_door.join();
         self.kernel.join().expect("kernel thread panicked")
     }
 }
 
-impl Shared {
-    /// Notify sink body: unpark the worker waiting on this token. A miss
-    /// is fine — the worker already gave up (TIMEOUT) or the request was
-    /// dropped at drain with nobody waiting.
-    fn deliver(&self, outcome: LiveOutcome) {
-        let waiter = self.pending.lock().unwrap().remove(&outcome.token);
-        if let Some(tx) = waiter {
-            let _ = tx.send(outcome);
+/// One client connection.
+struct Conn {
+    stream: TcpStream,
+    /// Bytes read, not yet framed into a request.
+    rbuf: Vec<u8>,
+    /// Reply bytes the socket has not taken yet.
+    wbuf: Vec<u8>,
+    /// Decided by the first complete line.
+    mode: Option<Mode>,
+    /// `Some(client_close)` while a request is with the kernel: nothing
+    /// more is framed until its answer is written.
+    waiting: Option<bool>,
+    /// Nothing more is read (the peer finished, the server is draining, or
+    /// a reply closed the connection); what is buffered is still answered.
+    read_done: bool,
+}
+
+impl Conn {
+    /// One read of what the socket holds (poll reports the rest again).
+    /// `false` when the connection broke.
+    fn fill(&mut self) -> bool {
+        let mut chunk = [0u8; 4096];
+        match (&self.stream).read(&mut chunk) {
+            Ok(0) => self.read_done = true,
+            Ok(n) => self.rbuf.extend_from_slice(&chunk[..n]),
+            Err(e) => return transient(&e),
+        }
+        true
+    }
+
+    /// Writes what the socket takes now. `false` when the connection broke.
+    fn flush(&mut self) -> bool {
+        if !self.wbuf.is_empty() {
+            match (&self.stream).write(&self.wbuf) {
+                Ok(n) => drop(self.wbuf.drain(..n)),
+                Err(e) => return transient(&e),
+            }
+        }
+        true
+    }
+
+    fn answer(&mut self, resp: &Response, client_close: bool) {
+        let mode = self.mode.unwrap_or(Mode::Line);
+        // Rendering into a `Vec` cannot fail.
+        if !protocol::write_response(&mut self.wbuf, mode, resp, client_close).unwrap_or(false) {
+            self.read_done = true;
+            self.rbuf.clear();
+        }
+    }
+}
+
+/// An I/O error that leaves the socket usable.
+fn transient(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted)
+}
+
+/// The `mlp-serve` thread's state; nothing else touches it.
+struct FrontDoor {
+    shared: Arc<Shared>,
+    /// `None` once draining: new connections are refused.
+    listener: Option<TcpListener>,
+    /// Read end of the wake socket.
+    wake: UnixStream,
+    conns: HashMap<u64, Conn>,
+    next_conn: u64,
+    catalog: RequestCatalog,
+    submissions: SyncSender<Submission>,
+    next_token: u64,
+    /// token → the connection owed that request's outcome.
+    pending: HashMap<u64, u64>,
+    /// `(deadline, token)` in submission order; the timeout is fixed, so
+    /// the deadlines are ordered too.
+    deadlines: VecDeque<(Instant, u64)>,
+    request_timeout: Duration,
+}
+
+impl FrontDoor {
+    fn run(mut self) {
+        let (mut fds, mut ids) = (Vec::new(), Vec::new());
+        loop {
+            let (outcomes, kernel_done) = {
+                let mut inbox = lock(&self.shared.inbox);
+                (std::mem::take(&mut inbox.0), inbox.1)
+            };
+            // Read after the inbox: a kernel that returned saw the flag.
+            let draining = self.shared.shutdown.load(Ordering::Relaxed);
+            outcomes.into_iter().for_each(|o| self.outcome(o));
+            if kernel_done {
+                // What is still pending sat in the submission queue when
+                // the kernel returned and will never run.
+                let stranded: Vec<u64> = self.pending.keys().copied().collect();
+                for token in stranded {
+                    self.outcome(LiveOutcome { token, request: 0, kind: OutcomeKind::Dropped });
+                }
+            }
+            let timeout = self.expire(Instant::now());
+            if draining {
+                self.listener = None;
+                self.conns.values_mut().for_each(|c| c.read_done = true);
+            }
+            self.conns.retain(|_, c| !c.read_done || c.waiting.is_some() || !c.wbuf.is_empty());
+            if draining && kernel_done {
+                // Every request the kernel saw is answered. Replies a
+                // socket did not take at once go with their connection
+                // rather than holding `stop` hostage.
+                return;
+            }
+
+            fds.clear();
+            ids.clear();
+            fds.push(sys::PollFd { fd: self.wake.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+            if let Some(l) = &self.listener {
+                fds.push(sys::PollFd { fd: l.as_raw_fd(), events: sys::POLLIN, revents: 0 });
+            }
+            let first_conn = fds.len();
+            for (&id, c) in &self.conns {
+                let mut events = if c.wbuf.is_empty() { 0 } else { sys::POLLOUT };
+                // Read only when idle and every reply is taken, so a
+                // client that does not read its replies gets no more read.
+                if !c.read_done && c.waiting.is_none() && c.wbuf.is_empty() {
+                    events |= sys::POLLIN;
+                }
+                fds.push(sys::PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
+                ids.push(id);
+            }
+            if sys::poll(&mut fds, timeout).is_err() {
+                return; // Only bad arguments fail; close everything rather than spin.
+            }
+
+            if fds[0].revents != 0 {
+                // Drained before the next turn takes the inbox, so a push
+                // landing in between still leaves a byte to wake on.
+                let _ = (&self.wake).read(&mut [0u8; 64]);
+            }
+            if first_conn == 2 && fds[1].revents != 0 {
+                self.accept();
+            }
+            for (fd, &id) in fds[first_conn..].iter().zip(&ids) {
+                if fd.revents == 0 {
+                    continue;
+                }
+                let Some(mut c) = self.conns.remove(&id) else { continue };
+                if fd.revents & sys::BROKEN == 0 && (fd.revents & sys::POLLIN == 0 || c.fill()) {
+                    self.advance(id, &mut c);
+                    if c.flush() {
+                        self.conns.insert(id, c);
+                    }
+                }
+            }
         }
     }
 
-    /// Resolves a request-type operand: paper name first, then numeric id.
-    fn resolve(&self, operand: &str) -> Option<RequestTypeId> {
-        if let Some(r) = self.catalog.request_by_name(operand) {
-            return Some(r.id);
+    fn accept(&mut self) {
+        let Some(listener) = &self.listener else { return };
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    lock(&self.shared.stats).connections += 1;
+                    let (rbuf, wbuf) = (Vec::new(), Vec::new());
+                    let c =
+                        Conn { stream, rbuf, wbuf, mode: None, waiting: None, read_done: false };
+                    self.conns.insert(self.next_conn, c);
+                    self.next_conn += 1;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return, // `WouldBlock`: the backlog is empty.
+            }
         }
-        let id: u32 = operand.parse().ok()?;
+    }
+
+    /// Frames and answers `c`'s buffered requests until one goes to the
+    /// kernel, no complete request is left, or a reply closes `c`.
+    fn advance(&mut self, id: u64, c: &mut Conn) {
+        while c.waiting.is_none() {
+            let framed = protocol::request_len(&c.rbuf, Mode::Line).and_then(|line_len| {
+                let first = String::from_utf8_lossy(&c.rbuf[..line_len]);
+                let mode = *c.mode.get_or_insert_with(|| protocol::detect_mode(&first));
+                let len = protocol::request_len(&c.rbuf, mode)?;
+                let parsed = match mode {
+                    Mode::Line => (protocol::parse_line(&first), false),
+                    Mode::Http => protocol::parse_http(&first, &mut &c.rbuf[line_len..len])
+                        .unwrap_or_else(|_| (Request::Malformed("headers not UTF-8".into()), true)),
+                };
+                Some((len, parsed))
+            });
+            let Some((len, (request, client_close))) = framed else {
+                if c.rbuf.len() > MAX_REQUEST_BYTES {
+                    lock(&self.shared.stats).errors += 1;
+                    c.answer(&Response::Err("request too long".into()), true);
+                    c.read_done = true;
+                    c.rbuf.clear();
+                }
+                return;
+            };
+            c.rbuf.drain(..len);
+            match self.respond(id, request) {
+                Some(resp) => c.answer(&resp, client_close),
+                None => c.waiting = Some(client_close),
+            }
+        }
+    }
+
+    /// The answer to `req` from connection `conn`, or `None` when it went
+    /// to the kernel and the answer is its outcome.
+    fn respond(&mut self, conn: u64, req: Request) -> Option<Response> {
+        let mut stats = lock(&self.shared.stats);
+        let operand = match req {
+            Request::Run(operand) => operand,
+            Request::Ping => return Some(Response::Pong),
+            Request::Stats => return Some(Response::Json(stats.to_json())),
+            Request::Quit => return Some(Response::Bye),
+            Request::Malformed(m) => {
+                stats.errors += 1;
+                return Some(Response::Err(m));
+            }
+        };
+        // Paper name first, then numeric id.
         let count = self.catalog.balanced_mix().len() as u32;
-        (id < count).then_some(RequestTypeId(id))
-    }
-
-    /// Runs one request through the kernel, parking until its outcome.
-    fn run_one(&self, rtype: RequestTypeId) -> Response {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        if self.shutdown.load(Ordering::Relaxed) {
-            self.counters.draining.fetch_add(1, Ordering::Relaxed);
-            return Response::Draining;
+        let rtype = self
+            .catalog
+            .request_by_name(&operand)
+            .map(|r| r.id)
+            .or_else(|| operand.parse().ok().filter(|&id| id < count).map(RequestTypeId));
+        let Some(rtype) = rtype else {
+            stats.errors += 1;
+            return Some(Response::Err(format!("unknown request type '{operand}'")));
+        };
+        stats.requests += 1;
+        if self.shared.shutdown.load(Ordering::Relaxed) {
+            stats.draining += 1;
+            return Some(Response::Draining);
         }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel::<LiveOutcome>(1);
-        self.pending.lock().unwrap().insert(token, tx);
+        let token = self.next_token;
+        self.next_token += 1;
         match self.submissions.try_send(Submission { token, rtype }) {
-            Ok(()) => {}
+            Ok(()) => {
+                self.pending.insert(token, conn);
+                if let Some(at) = Instant::now().checked_add(self.request_timeout) {
+                    self.deadlines.push_back((at, token));
+                }
+                None
+            }
             Err(TrySendError::Full(_)) => {
-                self.pending.lock().unwrap().remove(&token);
-                self.counters.busy.fetch_add(1, Ordering::Relaxed);
-                return Response::Busy;
+                stats.busy += 1;
+                Some(Response::Busy)
             }
             Err(TrySendError::Disconnected(_)) => {
-                self.pending.lock().unwrap().remove(&token);
-                self.counters.draining.fetch_add(1, Ordering::Relaxed);
-                return Response::Draining;
-            }
-        }
-        match rx.recv_timeout(self.request_timeout) {
-            Ok(outcome) => match outcome.kind {
-                OutcomeKind::Completed { latency_us } => {
-                    self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                    self.counters.latency_us_sum.fetch_add(latency_us, Ordering::Relaxed);
-                    Response::Ok { latency_us, request: outcome.request }
-                }
-                OutcomeKind::Shed { reason } => {
-                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    Response::Shed { reason: reason.into() }
-                }
-                OutcomeKind::Abandoned => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Abandoned
-                }
-                OutcomeKind::Dropped => {
-                    self.counters.draining.fetch_add(1, Ordering::Relaxed);
-                    Response::Dropped
-                }
-            },
-            Err(_) => {
-                // Reclaim the slot; the kernel may still answer later and
-                // find nobody waiting, which `deliver` tolerates.
-                self.pending.lock().unwrap().remove(&token);
-                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                Response::Timeout
+                stats.draining += 1;
+                Some(Response::Draining)
             }
         }
     }
 
-    fn respond_to(&self, req: Request) -> Response {
-        match req {
-            Request::Run(operand) => match self.resolve(&operand) {
-                Some(rtype) => self.run_one(rtype),
-                None => {
-                    self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Err(format!("unknown request type '{operand}'"))
-                }
-            },
-            Request::Ping => Response::Pong,
-            Request::Stats => Response::Json(self.counters.snapshot().to_json()),
-            Request::Quit => Response::Bye,
-            Request::Malformed(m) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                Response::Err(m)
+    /// Counts a kernel outcome and answers the connection owed it — if
+    /// any: a `TIMEOUT` may have answered it already.
+    fn outcome(&mut self, o: LiveOutcome) {
+        let Some(conn) = self.pending.remove(&o.token) else { return };
+        let mut stats = lock(&self.shared.stats);
+        let resp = match o.kind {
+            OutcomeKind::Completed { latency_us } => {
+                stats.completed += 1;
+                stats.latency_us_sum += latency_us;
+                Response::Ok { latency_us, request: o.request }
             }
-        }
-    }
-}
-
-fn worker_loop(conns: Arc<Mutex<Receiver<TcpStream>>>, shared: Arc<Shared>) {
-    loop {
-        // Hold the lock only for the dequeue so the pool drains in
-        // parallel; the timeout keeps shutdown observation fresh.
-        let next = conns.lock().unwrap().recv_timeout(POLL);
-        match next {
-            Ok(stream) => {
-                let _ = handle_connection(stream, &shared);
+            OutcomeKind::Shed { reason } => {
+                stats.shed += 1;
+                Response::Shed { reason: reason.into() }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
+            OutcomeKind::Abandoned => {
+                stats.errors += 1;
+                Response::Abandoned
             }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
-/// Serves one connection to completion: reads requests in either framing,
-/// parks per request, writes responses. Returns on peer close, `QUIT`,
-/// protocol errors, or shutdown-while-idle.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    let mut mode: Option<Mode> = None;
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // peer closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle keep-alive connection: close it once draining so
-                // the worker can exit; otherwise keep listening.
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return Ok(());
-                }
-                continue;
+            OutcomeKind::Dropped => {
+                stats.draining += 1;
+                Response::Dropped
             }
-            Err(e) => return Err(e),
-        }
-        let m = *mode.get_or_insert_with(|| protocol::detect_mode(&line));
-        let (request, client_close) = match m {
-            Mode::Line => (protocol::parse_line(&line), false),
-            Mode::Http => protocol::parse_http(&line, &mut reader)?,
         };
-        if request == Request::Quit && m == Mode::Http {
-            return Ok(());
+        drop(stats);
+        self.reply(conn, resp);
+    }
+
+    /// Writes `resp` to connection `id` (one already gone is fine), then
+    /// frames whatever it pipelined behind the answered request.
+    fn reply(&mut self, id: u64, resp: Response) {
+        let Some(mut c) = self.conns.remove(&id) else { return };
+        let client_close = c.waiting.take().unwrap_or(false);
+        c.answer(&resp, client_close);
+        self.advance(id, &mut c);
+        if c.flush() {
+            self.conns.insert(id, c);
         }
-        let response = shared.respond_to(request);
-        let keep_open = protocol::write_response(&mut writer, m, &response, client_close)?;
-        if !keep_open {
-            return Ok(());
+    }
+
+    /// Answers `TIMEOUT` for every request past its deadline and returns
+    /// how long until the next one is due.
+    fn expire(&mut self, now: Instant) -> Option<Duration> {
+        while let Some(&(at, token)) = self.deadlines.front() {
+            if self.pending.contains_key(&token) && at > now {
+                return Some(at - now);
+            }
+            self.deadlines.pop_front();
+            if let Some(conn) = self.pending.remove(&token) {
+                lock(&self.shared.stats).timeouts += 1;
+                self.reply(conn, Response::Timeout);
+            }
         }
+        None
     }
 }
 
-/// Convenience: write an error to stderr only — used by bins, kept here so
-/// both `vmlp serve` and `loadgen` format failures identically.
-pub fn print_io_error(context: &str, e: &io::Error) {
-    eprintln!("error: {context}: {e}");
-}
+/// `poll(2)` through the libc that std already links.
+#[cfg(unix)]
+mod sys {
+    use std::ffi::{c_int, c_short};
+    use std::time::Duration;
 
-/// Blocks until `addr` accepts a TCP connection or the deadline passes.
-/// Lets scripts start `vmlp serve` and `loadgen` back to back.
-pub fn wait_ready(addr: &str, timeout: Duration) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    while std::time::Instant::now() < deadline {
-        if TcpStream::connect(addr).is_ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    pub const POLLIN: c_short = 0x1;
+    pub const POLLOUT: c_short = 0x4;
+    /// `POLLERR | POLLHUP | POLLNVAL`.
+    pub const BROKEN: c_short = 0x8 | 0x10 | 0x20;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: c_short,
+        pub revents: c_short,
     }
-    false
+
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        #[link_name = "poll"]
+        fn c_poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    /// Blocks until a descriptor is ready or `timeout` (rounded up to whole
+    /// ms; `None` waits forever) passes, retrying on `EINTR`.
+    pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> std::io::Result<()> {
+        let ms =
+            timeout.map_or(-1, |t| t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int);
+        loop {
+            // SAFETY: `fds` is an exclusively borrowed array of `repr(C)`
+            // `struct pollfd`, and its length is what is passed.
+            if unsafe { c_poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) } >= 0 {
+                return Ok(());
+            }
+            let e = std::io::Error::last_os_error();
+            if e.kind() != std::io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+        }
+    }
 }
 
 // A tiny blocking client for tests and the load generator.
@@ -553,7 +709,7 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use std::io::{BufRead, BufReader};
 
     fn smoke_server() -> Server {
         let exp = ExperimentConfig::smoke("vmlp").with_seed(17);
@@ -622,7 +778,7 @@ mod tests {
         assert!(matches!(c.run("compose-post").unwrap(), Response::Ok { .. }));
         server.shutdown_flag().store(true, Ordering::Relaxed);
         // The established connection either gets a DRAINING reply or the
-        // worker closes it at the drain boundary — never a fresh admission.
+        // loop closes it at the drain boundary — never a fresh admission.
         match c.run("compose-post") {
             Ok(Response::Draining) => {}
             Err(_) => {}
@@ -641,9 +797,181 @@ mod tests {
         let err = Server::start(cfg).err().expect("an unknown param must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("bogus"), "{err}");
-        // Threads are spawned only after the bind, and the acceptor would
-        // own the listener: the port being free means none was started.
+        // Threads are spawned only after the bind, and the front-door loop
+        // would own the listener: the port being free means none was started.
         TcpListener::bind(addr).expect("nothing kept the port");
+    }
+
+    fn server_with(tune: impl FnOnce(&mut ServeConfig)) -> Server {
+        let mut cfg = ServeConfig::smoke(ExperimentConfig::smoke("vmlp").with_seed(17));
+        tune(&mut cfg);
+        Server::start(cfg).expect("bind loopback")
+    }
+
+    /// A raw connection and a line reader over it.
+    fn raw(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    /// `stop` on another thread; fails the test if it takes over `limit`.
+    fn stop_within(server: Server, limit: Duration) -> SimOutput {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || drop(tx.send(server.stop())));
+        rx.recv_timeout(limit).expect("stop returned in time")
+    }
+
+    #[test]
+    fn idle_connections_do_not_starve_a_new_one() {
+        let server = smoke_server();
+        let idle: Vec<TcpStream> =
+            (0..8).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+        let addr = server.local_addr().to_string();
+        let mut c = client::Client::connect(&addr, Duration::from_secs(1)).unwrap();
+        assert_eq!(c.ping().unwrap(), Response::Pong);
+        assert_eq!(server.stats().connections, 9);
+        drop(idle);
+        server.stop();
+    }
+
+    #[test]
+    fn stop_returns_while_an_idle_client_stays_connected() {
+        let server = smoke_server();
+        let addr = server.local_addr().to_string();
+        let mut c = client::Client::connect(&addr, Duration::from_secs(30)).unwrap();
+        assert_eq!(c.ping().unwrap(), Response::Pong);
+        stop_within(server, Duration::from_secs(5));
+        // The drain closed the connection under the client.
+        assert!(c.ping().is_err());
+    }
+
+    #[test]
+    fn a_request_split_by_a_pause_is_reassembled() {
+        let server = smoke_server();
+        let (mut stream, mut reader) = raw(&server);
+        stream.write_all(b"RUN compose").unwrap();
+        std::thread::sleep(Duration::from_millis(700));
+        stream.write_all(b"-post\n").unwrap();
+        let reply = read_line(&mut reader);
+        assert!(reply.starts_with("OK "), "{reply}");
+        drop((stream, reader));
+        assert_eq!(server.stop().arrived, 1);
+    }
+
+    #[test]
+    fn an_oversized_request_is_refused_and_closed() {
+        let server = smoke_server();
+        let (stream, mut reader) = raw(&server);
+        let mut writer = stream.try_clone().unwrap();
+        // The server stops reading at the bound: the rest of the flood
+        // may meet a reset, which is the point.
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'a'; 1 << 20]);
+        });
+        assert_eq!(read_line(&mut reader), "ERR request too long\n");
+        let mut rest = Vec::new();
+        assert!(matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)), "closed after the reply");
+        flood.join().unwrap();
+
+        let addr = server.local_addr().to_string();
+        let mut c = client::Client::connect(&addr, Duration::from_secs(30)).unwrap();
+        assert_eq!(c.ping().unwrap(), Response::Pong);
+        assert_eq!(server.stats().errors, 1);
+        server.stop();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = smoke_server();
+        let (mut stream, mut reader) = raw(&server);
+        stream.write_all(b"RUN compose-post\nRUN 1\nPING\n").unwrap();
+        for want in ["OK ", "OK ", "PONG\n"] {
+            let reply = read_line(&mut reader);
+            assert!(reply.starts_with(want), "wanted {want:?}, got {reply:?}");
+        }
+        drop((stream, reader));
+        assert_eq!(server.stop().arrived, 2);
+    }
+
+    /// More replies than the socket buffers hold: the loop keeps the rest
+    /// for `POLLOUT`, reads no more from that client meanwhile, and keeps
+    /// serving everyone else.
+    #[test]
+    fn a_client_that_does_not_read_gets_every_reply_in_order() {
+        const PINGS: usize = 2_000_000;
+        let server = smoke_server();
+        let (stream, mut reader) = raw(&server);
+        let mut writer = stream.try_clone().unwrap();
+        let flood = std::thread::spawn(move || writer.write_all(&b"PING\n".repeat(PINGS)));
+        std::thread::sleep(Duration::from_millis(200));
+        let addr = server.local_addr().to_string();
+        let mut other = client::Client::connect(&addr, Duration::from_secs(1)).unwrap();
+        assert_eq!(other.ping().unwrap(), Response::Pong);
+
+        let mut replies = vec![0u8; PINGS * b"PONG\n".len()];
+        reader.read_exact(&mut replies).unwrap();
+        assert!(replies.chunks(5).all(|r| r == b"PONG\n"));
+        flood.join().unwrap().unwrap();
+        drop((stream, reader));
+        server.stop();
+    }
+
+    #[test]
+    fn http_request_written_a_byte_at_a_time_is_answered() {
+        let server = smoke_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        for b in b"GET /run/getCheapest HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" {
+            stream.write_all(&[*b]).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        assert!(reply.contains("\"latency_us\":"), "{reply}");
+        assert_eq!(server.stop().arrived, 1);
+    }
+
+    #[test]
+    fn a_timed_out_request_never_answers_a_later_one() {
+        let server = server_with(|cfg| cfg.request_timeout = Duration::from_millis(1));
+        let addr = server.local_addr().to_string();
+        let mut c = client::Client::connect(&addr, Duration::from_secs(30)).unwrap();
+        assert_eq!(c.run("compose-post").unwrap(), Response::Timeout);
+        assert_eq!(c.ping().unwrap(), Response::Pong);
+        // Well past the request's modelled latency: its outcome came and
+        // was dropped, not written.
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(c.ping().unwrap(), Response::Pong);
+        let stats = server.stats();
+        assert_eq!((stats.timeouts, stats.completed), (1, 0));
+        assert_eq!(server.stop().arrived, 1);
+    }
+
+    #[test]
+    fn a_request_in_flight_at_stop_is_answered() {
+        // No drain grace: whatever is in flight is dropped at once.
+        let server = server_with(|cfg| cfg.drain_timeout = Duration::ZERO);
+        let (mut stream, mut reader) = raw(&server);
+        stream.write_all(b"PING\nRUN compose-post\n").unwrap();
+        assert_eq!(read_line(&mut reader), "PONG\n");
+        // The loop counts a `RUN` and submits it under one stats lock.
+        while server.stats().requests == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let out = stop_within(server, Duration::from_secs(5));
+        let reply = read_line(&mut reader);
+        assert!(reply == "DROPPED\n" || reply.starts_with("OK "), "{reply:?}");
+        assert!(out.invariant_report.is_none(), "{:?}", out.invariant_report);
     }
 
     /// Reads one HTTP response (headers + Content-Length body).

@@ -79,6 +79,22 @@ pub fn detect_mode(first_line: &str) -> Mode {
     }
 }
 
+/// Length of the first complete request at the front of `buf`, or `None`
+/// while more bytes are needed: a line-mode request ends at its `\n`, an
+/// HTTP one at the blank line that ends its headers.
+pub fn request_len(buf: &[u8], mode: Mode) -> Option<usize> {
+    let line_end = |from: usize| buf[from..].iter().position(|&b| b == b'\n').map(|i| from + i + 1);
+    let mut end = line_end(0)?;
+    // An HTTP request runs on through its headers, up to the first blank line.
+    let mut blank = mode == Mode::Line;
+    while !blank {
+        let next = line_end(end)?;
+        blank = buf[end..next].iter().all(u8::is_ascii_whitespace);
+        end = next;
+    }
+    Some(end)
+}
+
 /// Parses one line-mode request.
 pub fn parse_line(line: &str) -> Request {
     let l = line.trim();
@@ -97,9 +113,10 @@ pub fn parse_line(line: &str) -> Request {
     }
 }
 
-/// Parses one HTTP request: consumes the request line (already read) plus
-/// headers through the blank line, and maps the path onto a [`Request`].
-/// Returns `Quit` on a cleanly closed connection. The second field is
+/// Parses one HTTP request: the request line (already read) plus
+/// `reader`'s headers through the blank line (the server passes the block
+/// [`request_len`] framed, as a `&[u8]`), and maps the path onto a
+/// [`Request`]. Returns `Quit` if the headers end early. The second field is
 /// true when the client sent `Connection: close` — the response must
 /// close the connection even where the server would default to
 /// keep-alive, or clients waiting for EOF hang until the read timeout.
@@ -227,6 +244,16 @@ mod tests {
     fn mode_detection() {
         assert_eq!(detect_mode("GET /run/x HTTP/1.1\r\n"), Mode::Http);
         assert_eq!(detect_mode("RUN compose-post\n"), Mode::Line);
+    }
+
+    #[test]
+    fn requests_are_framed_from_the_buffer() {
+        assert_eq!(request_len(b"RUN compose", Mode::Line), None);
+        assert_eq!(request_len(b"RUN x\nPING\n", Mode::Line), Some(6));
+        let get = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\nGET /stats";
+        assert_eq!(request_len(&get[..33], Mode::Http), None, "headers not ended yet");
+        assert_eq!(request_len(get, Mode::Http), Some(34));
+        assert_eq!(request_len(b"GET / HTTP/1.0\n\n", Mode::Http), Some(16));
     }
 
     #[test]

@@ -104,7 +104,6 @@ FLAGS:
                       (default v-mlp)
     --machines=N      cluster size            (default 20)
     --seed=N          RNG seed for the simulated cluster (default 2022)
-    --net-workers=N   connection worker threads (default 8)
     --queue-cap=N     bounded submission queue; BUSY past it (default 512)
     --drain=S         shutdown drain timeout, seconds (default 10)
     --overload=on|off paper admission gate / breakers / brownout
@@ -123,7 +122,6 @@ EXIT CODES:
 fn serve_main(args: &[String]) -> ExitCode {
     let mut serve_cfg = mlp_serve::ServeConfig {
         addr: "127.0.0.1:7411".into(),
-        workers: 8,
         queue_cap: 512,
         request_timeout: std::time::Duration::from_secs(30),
         drain_timeout: std::time::Duration::from_secs(10),
@@ -161,10 +159,6 @@ fn serve_main(args: &[String]) -> ExitCode {
             "--seed" => match value.parse() {
                 Ok(s) => serve_cfg.experiment.seed = s,
                 Err(_) => return bad("seed must be an integer"),
-            },
-            "--net-workers" => match value.parse() {
-                Ok(n) if n > 0 => serve_cfg.workers = n,
-                _ => return bad("net-workers must be a positive integer"),
             },
             "--queue-cap" => match value.parse() {
                 Ok(n) if n > 0 => serve_cfg.queue_cap = n,
@@ -212,11 +206,10 @@ fn serve_main(args: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "serving {} on {} machines at {} ({} workers, queue {}, auditor {}) — ctrl-c drains",
+        "serving {} on {} machines at {} (queue {}, auditor {}) — ctrl-c drains",
         serve_cfg.experiment.scheme.display_name(),
         serve_cfg.experiment.machines,
         server.local_addr(),
-        serve_cfg.workers,
         serve_cfg.queue_cap,
         if serve_cfg.experiment.auditor { "on" } else { "off" },
     );
