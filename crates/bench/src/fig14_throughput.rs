@@ -8,7 +8,7 @@
 //!
 //! The scheme columns come from a [`SweepConfig`]: the default sweep is
 //! the paper's five schemes in Table VI order (committed as
-//! `sweeps/paper.json`), and the `fig14_throughput` binary accepts
+//! `sweeps/paper.json`), and `figs fig14_throughput` accepts
 //! `--sweep=FILE` to race any registered contender through the same axis.
 
 use crate::evalrun::{run_cells, Cell};
@@ -97,11 +97,6 @@ pub fn data_sweep(
         .collect()
 }
 
-/// [`data_sweep`] over the default (paper) sweep.
-pub fn data(scale: Scale, seed: u64) -> Vec<Vec<(String, f64, f64, f64)>> {
-    data_sweep(scale, seed, &default_sweep())
-}
-
 /// Renders one sweep.
 pub fn report_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> String {
     let d = data_sweep(scale, seed, sweep);
@@ -128,11 +123,6 @@ pub fn report_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> String {
         &header_refs,
         &rows,
     )
-}
-
-/// Renders the default (paper) sweep.
-pub fn report(scale: Scale, seed: u64) -> String {
-    report_sweep(scale, seed, &default_sweep())
 }
 
 #[cfg(test)]

@@ -59,11 +59,6 @@ pub fn data_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> Vec<Experimen
     run_all(&configs, 4)
 }
 
-/// [`data_sweep`] over the default storm sweep.
-pub fn data(scale: Scale, seed: u64) -> Vec<ExperimentResult> {
-    data_sweep(scale, seed, &default_sweep())
-}
-
 /// Renders one storm sweep.
 pub fn report_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> String {
     let results = data_sweep(scale, seed, sweep);
@@ -112,11 +107,6 @@ pub fn report_sweep(scale: Scale, seed: u64, sweep: &SweepConfig) -> String {
     )
 }
 
-/// Renders the default storm sweep.
-pub fn report(scale: Scale, seed: u64) -> String {
-    report_sweep(scale, seed, &default_sweep())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +115,7 @@ mod tests {
     /// injecting faults into the storm rows and none into the anchor.
     #[test]
     fn storm_scenario_runs_end_to_end() {
-        let results = data(Scale::tiny(), 7);
+        let results = data_sweep(Scale::tiny(), 7, &default_sweep());
         assert_eq!(results.len(), SCHEMES.len() + 1);
         let (storm_rows, anchor) = results.split_at(SCHEMES.len());
         for r in storm_rows {

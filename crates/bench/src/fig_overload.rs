@@ -44,7 +44,7 @@ pub const GATE_RETENTION: f64 = 0.8;
 pub const GATE_MULTIPLIER: f64 = 3.0;
 
 /// One (arm, multiplier) cell of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct OverloadPoint {
     /// Scheme label, with `+resil` when the resilience stack is on.
     pub arm: String,
@@ -125,10 +125,12 @@ pub fn config_for(
         .with_overload(overload_for(scale, multiplier, resilience))
 }
 
-/// Upper bound on retries the token budget can possibly grant over the
-/// run (burst + refill over the drained horizon). The bin gates resilient
-/// arms' issued retries against this.
-pub fn retry_grant_bound(cfg: &ExperimentConfig) -> u64 {
+/// Upper bound on retries the token budget can possibly grant the
+/// resilient arm at `multiplier`× over the run (burst + refill over the
+/// drained horizon; the scheme and seed do not enter it). [`gates`] holds
+/// resilient arms' issued retries against this.
+pub fn retry_grant_bound(scale: &Scale, multiplier: f64) -> u64 {
+    let cfg = config_for(scale, "vmlp", multiplier, true, 0);
     let o = cfg.overload;
     RetryBudget::new(o.retry_burst, o.retry_rate_per_s)
         .grant_bound(cfg.horizon_s * cfg.drain_factor)
@@ -191,11 +193,6 @@ pub fn data_sweep(scale: &Scale, seed: u64, sweep: &SweepConfig) -> Vec<Overload
     points
 }
 
-/// [`data_sweep`] over the default overload sweep.
-pub fn data(scale: &Scale, seed: u64) -> Vec<OverloadPoint> {
-    data_sweep(scale, seed, &default_sweep())
-}
-
 /// The resilient arm's point at a multiplier, if present (there is one
 /// resilient arm per sweep: its last scheme).
 pub fn resilient_arm_at(points: &[OverloadPoint], multiplier: f64) -> Option<&OverloadPoint> {
@@ -213,6 +210,47 @@ pub fn goodput_retention(points: &[OverloadPoint]) -> Option<f64> {
     } else {
         None
     }
+}
+
+/// The pass/fail gates CI's overload-smoke job hangs off this figure: no
+/// cell may report an invariant violation or break request conservation
+/// (arrived = completed + unfinished), the resilient arm may not issue
+/// more retries than the token budget can grant, and it must retain at
+/// least [`GATE_RETENTION`] of its own 1× goodput at [`GATE_MULTIPLIER`]×.
+pub fn gates(points: &[OverloadPoint], scale: &Scale) -> Vec<String> {
+    let mut failures = Vec::new();
+    for p in points {
+        let cell = format!("{} @{}×", p.arm, p.multiplier);
+        if p.invariant_violations > 0 {
+            failures.push(format!("{cell}: {} invariant violations", p.invariant_violations));
+        }
+        let (arrived, completed, unfinished) = (p.arrived, p.completed, p.unfinished);
+        if arrived != completed + unfinished {
+            failures.push(format!(
+                "{cell}: conservation broke: {arrived} arrived != {completed} completed + \
+                 {unfinished} unfinished"
+            ));
+        }
+        let (retries, bound) = (p.retries, retry_grant_bound(scale, p.multiplier));
+        if p.resilience && retries > bound {
+            failures
+                .push(format!("{cell}: {retries} retries exceed the budget's grant bound {bound}"));
+        }
+    }
+    // Missing resilient points or a zero 1× capacity count as 0% retained.
+    let retained = goodput_retention(points).unwrap_or(0.0);
+    let resilient = points.iter().find(|p| p.resilience).map_or("", |p| p.scheme.as_str());
+    let verdict = format!(
+        "resilient {resilient} retains {:.0}% of 1× goodput at {GATE_MULTIPLIER}× (gate: ≥{:.0}%)",
+        retained * 100.0,
+        GATE_RETENTION * 100.0
+    );
+    if retained >= GATE_RETENTION {
+        eprintln!("fig_overload: {verdict}");
+    } else {
+        failures.push(format!("GATE FAILED — {verdict}"));
+    }
+    failures
 }
 
 /// Renders the degradation-trajectory table.
@@ -302,6 +340,21 @@ mod tests {
         assert!(p.shed_requests > 0, "a 3× surge must trip the admission gate");
         assert!(p.completed > 0, "degradation must be graceful, not total");
         assert!(p.peak_pressure > 0.0);
+    }
+
+    /// The gates pass clean synthetic points and flag an auditor
+    /// violation, broken conservation and a retention collapse.
+    #[test]
+    fn gates_flag_violations_conservation_and_retention() {
+        let (scale, p) = (Scale::tiny(), OverloadPoint { resilience: true, ..Default::default() });
+        let at = |multiplier, goodput_rps| OverloadPoint { multiplier, goodput_rps, ..p.clone() };
+        let mut points = [at(1.0, 10.0), at(GATE_MULTIPLIER, 9.0)];
+        assert!(gates(&points, &scale).is_empty());
+        points[0].invariant_violations = 1;
+        points[1].arrived = 5;
+        assert_eq!(gates(&points, &scale).len(), 2);
+        let collapsed = gates(&[at(1.0, 10.0), at(GATE_MULTIPLIER, 1.0)], &scale);
+        assert!(collapsed[0].starts_with("GATE FAILED"), "{collapsed:?}");
     }
 
     /// The same surge without resilience sheds nothing — the baseline arm

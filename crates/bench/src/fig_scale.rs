@@ -60,7 +60,7 @@ pub fn shards_for(machines: usize) -> usize {
 }
 
 /// One row of the trajectory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ScalePoint {
     /// Fleet size.
     pub machines: usize,
@@ -148,6 +148,17 @@ pub fn data(scale: &Scale, seed: u64) -> Vec<ScalePoint> {
         .collect()
 }
 
+/// The pass/fail gate CI's scale-smoke job hangs off this figure:
+/// scaling out must never cost an invariant violation.
+pub fn gates(points: &[ScalePoint]) -> Vec<String> {
+    let violations: u64 = points.iter().map(|p| p.invariant_violations).sum();
+    if violations > 0 {
+        vec![format!("{violations} invariant violations")]
+    } else {
+        Vec::new()
+    }
+}
+
 /// Renders the trajectory table.
 pub fn report(points: &[ScalePoint], scale: &Scale) -> String {
     let rows: Vec<Vec<String>> = points
@@ -211,6 +222,14 @@ mod tests {
         assert_eq!(worker_counts(&Scale::tiny()), &[1]);
         assert_eq!(worker_counts(&Scale::small()), &[1, 2]);
         assert_eq!(worker_counts(&Scale::paper()), &[1, 4, 8]);
+    }
+
+    #[test]
+    fn gates_flag_invariant_violations() {
+        let mut points = [ScalePoint::default(), ScalePoint::default()];
+        assert!(gates(&points).is_empty());
+        points[1].invariant_violations = 3;
+        assert_eq!(gates(&points), ["3 invariant violations"]);
     }
 
     /// A sharded point runs clean end to end and publishes per-shard

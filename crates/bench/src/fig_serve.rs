@@ -159,7 +159,7 @@ pub fn run(scale: &Scale, seed: u64) -> ServePoint {
     }
 }
 
-/// The human-readable table for the bin's stdout.
+/// The human-readable summary `figs fig_serve` prints.
 pub fn report(p: &ServePoint) -> String {
     let mut out = String::new();
     out.push_str(&format!(

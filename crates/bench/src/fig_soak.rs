@@ -57,7 +57,7 @@ pub fn request_target(scale: &Scale) -> u64 {
 }
 
 /// One soaked scheme.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct SoakPoint {
     /// Scheme label.
     pub scheme: String,
@@ -197,9 +197,35 @@ pub fn data_sweep(scale: &Scale, seed: u64, sweep: &SweepConfig) -> Vec<SoakPoin
     points
 }
 
-/// [`data_sweep`] over the default soak sweep.
-pub fn data(scale: &Scale, seed: u64) -> Vec<SoakPoint> {
-    data_sweep(scale, seed, &default_sweep())
+/// The pass/fail gates CI's soak-smoke job hangs off this figure: no
+/// invariant violation, the request cap (not the horizon) ends every
+/// scheme's arrivals, the request table stays [`memory_bounded`], and
+/// v-MLP stays [`vmlp_within_budget`] (skipped with a note when the sweep
+/// omits v-MLP or FullProfile).
+pub fn gates(points: &[SoakPoint], scale: &Scale) -> Vec<String> {
+    let target = request_target(scale) as usize;
+    let mut failures = Vec::new();
+    for p in points {
+        if p.invariant_violations > 0 {
+            failures.push(format!("{}: {} invariant violations", p.scheme, p.invariant_violations));
+        }
+        if p.arrived < target {
+            failures.push(format!("{}: only {} of {target} requests arrived", p.scheme, p.arrived));
+        }
+        if !memory_bounded(p) {
+            failures.push(format!(
+                "{}: request table peak {} not ≪ {} arrivals",
+                p.scheme, p.request_table_peak, p.arrived
+            ));
+        }
+    }
+    match vmlp_within_budget(points) {
+        Some(true) => {}
+        Some(false) => failures
+            .push(format!("v-MLP µs/req exceeds {VMLP_BUDGET_MULTIPLE}× the FullProfile baseline")),
+        None => eprintln!("fig_soak: no v-MLP and FullProfile pair; perf budget gate skipped"),
+    }
+    failures
 }
 
 /// Renders the soak table.
@@ -254,6 +280,24 @@ mod tests {
         assert_eq!(request_target(&Scale::paper()), 2_000_000);
         assert!(request_target(&Scale::small()) < request_target(&Scale::paper()));
         assert!(request_target(&Scale::tiny()) < request_target(&Scale::small()));
+    }
+
+    #[test]
+    fn gates_flag_violations_short_runs_unbounded_tables_and_budget() {
+        let scale = Scale::tiny();
+        let target = request_target(&scale) as usize;
+        let full =
+            SoakPoint { scheme: "FullProfile".into(), arrived: target, ..Default::default() };
+        let vmlp = SoakPoint { scheme: "v-MLP".into(), wall_us_per_req: 4.0, ..full.clone() };
+        let full = SoakPoint { wall_us_per_req: 1.0, ..full };
+        assert!(gates(&[full.clone(), vmlp.clone()], &scale).is_empty());
+        let broken = [
+            SoakPoint { invariant_violations: 1, ..full.clone() },
+            SoakPoint { arrived: target - 1, ..full.clone() },
+            SoakPoint { request_table_peak: target, ..full },
+            SoakPoint { wall_us_per_req: 5.0, ..vmlp },
+        ];
+        assert_eq!(gates(&broken, &scale).len(), 4);
     }
 
     /// A miniature soak has the acceptance shape of the full run: the cap

@@ -13,9 +13,9 @@
 //!
 //! The zoo is the registry's proving ground: a contender registered with
 //! typed params joins the table by adding one line to a sweep file, and
-//! the `fig_zoo` binary gates on zero auditor violations across every
-//! (scheme, scenario) cell before recording the points into
-//! `BENCH_sim.json` under the `fig_zoo` key.
+//! `figs fig_zoo` gates on zero auditor violations across every
+//! (scheme, scenario) cell and records the points into `BENCH_sim.json`
+//! under the `fig_zoo` key.
 
 use crate::fig14_throughput::OVERDRIVE;
 use crate::fig_faults::storm_for;
@@ -41,7 +41,7 @@ pub fn default_sweep() -> SweepConfig {
 }
 
 /// One (scheme, both-scenarios) row of the zoo table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ZooPoint {
     /// Registry-derived display label.
     pub scheme: String,
@@ -141,6 +141,22 @@ pub fn data(scale: &Scale, seed: u64, sweep: &SweepConfig) -> Vec<ZooPoint> {
     points
 }
 
+/// The pass/fail gates CI's zoo-smoke job hangs off this figure: no
+/// (scheme, scenario) cell may report an invariant violation, and every
+/// scheme must complete something in both scenarios.
+pub fn gates(points: &[ZooPoint]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for p in points {
+        if p.invariant_violations > 0 {
+            failures.push(format!("{}: {} invariant violations", p.scheme, p.invariant_violations));
+        }
+        if p.goodput_rps <= 0.0 || p.storm_completed == 0 {
+            failures.push(format!("{}: completed nothing in at least one scenario", p.scheme));
+        }
+    }
+    failures
+}
+
 /// Renders the zoo table.
 pub fn report(points: &[ZooPoint], scale: &Scale) -> String {
     let rows: Vec<Vec<String>> = points
@@ -201,6 +217,18 @@ mod tests {
         }
         assert_eq!(sweep.labels().last().map(String::as_str), Some("SearchSched"));
         assert!(sweep.labels().contains(&"v-MLP[healing=off]".to_string()));
+    }
+
+    #[test]
+    fn gates_flag_violations_and_empty_scenarios() {
+        let ok = ZooPoint { goodput_rps: 1.0, storm_completed: 1, ..Default::default() };
+        assert!(gates(std::slice::from_ref(&ok)).is_empty());
+        let broken = [
+            ZooPoint { invariant_violations: 2, ..ok.clone() },
+            ZooPoint { storm_completed: 0, ..ok.clone() },
+            ZooPoint { goodput_rps: 0.0, ..ok },
+        ];
+        assert_eq!(gates(&broken).len(), 3);
     }
 
     /// One zoo cell at tiny scale: both scenarios run, the auditor stays

@@ -1,10 +1,10 @@
 //! # mlp-bench — figure/table regeneration harness
 //!
 //! One module per table and figure of the paper's evaluation. Each module
-//! exposes a `report(scale) -> String` function that regenerates the
-//! figure's rows/series as plain text; the `src/bin/*` binaries are thin
-//! wrappers. The Criterion benches under `benches/` measure the hot
-//! scheduling kernels and whole-simulation throughput.
+//! exposes a `report` function that regenerates the figure's rows/series
+//! as plain text; the `figs` binary runs any of them by name through the
+//! [`figs::FIGURES`] table. The Criterion benches under `benches/` measure
+//! the hot scheduling kernels and whole-simulation throughput.
 //!
 //! All experiments are seeded and deterministic. Absolute numbers differ
 //! from the paper (our substrate is a synthetic simulator, theirs was
@@ -12,6 +12,7 @@
 //! roughly what factor, where the crossovers sit — is what each report is
 //! asserted against (see EXPERIMENTS.md).
 
+pub mod ablations;
 pub mod evalrun;
 pub mod fig02_heterogeneity;
 pub mod fig03_resources;
@@ -29,21 +30,16 @@ pub mod fig_scale;
 pub mod fig_serve;
 pub mod fig_soak;
 pub mod fig_zoo;
+pub mod figs;
 pub mod loads;
 pub mod scale;
 pub mod tables;
 
 pub use scale::Scale;
 
-/// Parses `--audit=FILE` from argv for the figure binaries. When present,
-/// the binary runs an audited companion experiment via [`audit_run`] after
-/// printing its report.
-pub fn audit_from_args() -> Option<std::path::PathBuf> {
-    std::env::args().find_map(|a| a.strip_prefix("--audit=").map(std::path::PathBuf::from))
-}
-
 /// Runs one audited experiment (decision trail + invariant auditor) and
 /// writes the JSONL trail to `path`, reporting auditor status to stderr.
+/// `figs <name> --audit=FILE` runs the figure's companion config here.
 /// Kept separate from the figure sweeps so their reports stay
 /// byte-identical whether or not auditing was requested.
 pub fn audit_run(config: mlp_engine::config::ExperimentConfig, path: &std::path::Path) {
@@ -70,19 +66,14 @@ pub fn audit_run(config: mlp_engine::config::ExperimentConfig, path: &std::path:
     }
 }
 
-/// Repo-root path of the committed benchmark snapshot.
-pub fn bench_json_path() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json")
-}
-
-/// Merges `own` top-level entries into `BENCH_sim.json`, replacing keys it
-/// owns and preserving every other key already in the file (so the
-/// `perf_baseline` snapshot and the `fig_scale` trajectory can coexist in
-/// one committed artifact). Unreadable or corrupt existing contents are
-/// discarded rather than propagated.
-pub fn merge_bench_json(own: Vec<(String, serde_json::Value)>) {
-    let path = std::path::Path::new(bench_json_path());
-    merge_bench_json_at(path, own).expect("write BENCH_sim.json");
+/// Merges one figure's points into the repo-root `BENCH_sim.json` under
+/// `key`, preserving every other figure's key already in the file, so
+/// `fig_scale`, `fig_soak`, `fig_overload`, … coexist in one committed
+/// artifact. Unreadable or corrupt existing contents are discarded rather
+/// than propagated.
+pub fn merge_bench_json(key: &str, value: serde_json::Value) {
+    let path = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"));
+    merge_bench_json_at(path, vec![(key.to_string(), value)]).expect("write BENCH_sim.json");
     eprintln!("wrote {}", path.display());
 }
 
@@ -112,46 +103,6 @@ pub fn merge_bench_json_at(
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, json + "\n")?;
     std::fs::rename(&tmp, path)
-}
-
-/// Parses `--sweep=FILE` from argv for the figure binaries: loads and
-/// registry-validates a [`SweepConfig`](mlp_engine::sweep::SweepConfig),
-/// exiting with the error's code (2 = invalid, 4 = I/O) when the file is
-/// missing or malformed. `None` when the flag is absent — the binary
-/// falls back to its committed default sweep.
-pub fn sweep_from_args() -> Option<mlp_engine::sweep::SweepConfig> {
-    let path =
-        std::env::args().find_map(|a| a.strip_prefix("--sweep=").map(std::path::PathBuf::from))?;
-    let load = mlp_engine::sweep::SweepConfig::load(&path).and_then(|sweep| {
-        sweep.validate()?;
-        Ok(sweep)
-    });
-    match load {
-        Ok(sweep) => Some(sweep),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(e.exit_code() as i32);
-        }
-    }
-}
-
-/// Parses `--scale=tiny|small|paper` from argv (default: small) for the
-/// figure binaries.
-pub fn scale_from_args() -> Scale {
-    for arg in std::env::args() {
-        if let Some(v) = arg.strip_prefix("--scale=") {
-            return match v {
-                "tiny" => Scale::tiny(),
-                "small" => Scale::small(),
-                "paper" => Scale::paper(),
-                other => {
-                    eprintln!("unknown scale '{other}', using small");
-                    Scale::small()
-                }
-            };
-        }
-    }
-    Scale::small()
 }
 
 #[cfg(test)]

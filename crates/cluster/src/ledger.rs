@@ -77,8 +77,9 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 /// stay cheap to rebuild on writes.
 const BUCKET: usize = 64;
 
-/// Global (process-wide) counters over ledger operations, used by the
-/// `perf_baseline` runner to report how query-heavy a simulation run is.
+/// Global (process-wide) counters over ledger operations, read by the
+/// benchmark's per-layer `cluster.ledger.*_per_req` rows to report how
+/// query-heavy a run is.
 /// Disabled by default: when off, the only cost on the query path is one
 /// relaxed load of a read-only flag.
 pub mod query_stats {

@@ -1,93 +1,99 @@
-//! Smoke tests for every figure/table regeneration path: each report
-//! renders, is non-trivial, and contains its identifying markers. The
-//! heavyweight grids run at tiny scale here; the binaries default to
-//! `--scale=small`.
+//! Smoke tests for every paper figure/table regeneration path: each
+//! `FIGURES` entry named `tables` or `figNN…` runs through its `run`,
+//! renders a non-empty report with no gate failures, and contains its
+//! identifying markers. The heavyweight grids run at tiny scale here;
+//! `figs` defaults to `--scale=small`.
 
-use mlp_bench::{
-    fig02_heterogeneity, fig03_resources, fig04_comm, fig05_challenge, fig09_patterns, fig10_qos,
-    fig11_utilization, fig12_latency, fig13_tail, fig14_throughput, tables, Scale,
-};
+use mlp_bench::figs::{Args, Figure, FIGURES};
+use mlp_bench::{fig12_latency, Scale};
+use std::collections::HashMap;
+use std::sync::OnceLock;
+
+/// The report of paper figure `name`; all of them run once, on first use.
+fn report(name: &str) -> &'static str {
+    static REPORTS: OnceLock<HashMap<&str, String>> = OnceLock::new();
+    let paper =
+        |f: &&Figure| f.name == "tables" || f.name[..4] == *"fig0" || f.name[..4] == *"fig1";
+    &REPORTS.get_or_init(|| FIGURES.iter().filter(paper).map(run).collect())[name]
+}
+
+fn run(f: &'static Figure) -> (&'static str, String) {
+    // Fig 11 needs a horizon long enough to contain the 40 s peak.
+    let long = Scale { machines: 6, max_rate: 30.0, horizon_s: 100.0, ..Scale::tiny() };
+    let scale = if f.name == "fig11_utilization" { long } else { Scale::tiny() };
+    let out = (f.run)(&Args::new(f, scale));
+    let (report, failures) = (out.report, out.failures);
+    assert!(!report.trim().is_empty() && failures.is_empty(), "{}: {failures:?}", f.name);
+    (f.name, report)
+}
+
+/// Asserts `name`'s report contains every marker.
+fn has(name: &str, markers: &[&str]) -> &'static str {
+    let r = report(name);
+    for m in markers {
+        assert!(r.contains(m), "{name}: missing {m} in:\n{r}");
+    }
+    r
+}
 
 #[test]
 fn fig02_report() {
-    let r = fig02_heterogeneity::report(1);
-    for svc in ["ts-order", "ts-ticketinfo", "ts-travel", "ts-basic", "ts-seat", "ts-station"] {
-        assert!(r.contains(svc), "missing {svc} in:\n{r}");
-    }
+    let services = ["ts-order", "ts-ticketinfo", "ts-travel", "ts-basic", "ts-seat", "ts-station"];
+    has("fig02_heterogeneity", &services);
 }
 
 #[test]
 fn fig03_reports() {
-    assert!(fig03_resources::fig3a_report().contains("social-graph-service"));
-    assert!(fig03_resources::fig3b_report(1).contains("surge peaks"));
-    let c = fig03_resources::fig3c_report(1);
-    assert!(c.contains("High") && c.contains("Moderate") && c.contains("Less"));
+    has("fig03a_resource_profile", &["social-graph-service"]);
+    has("fig03b_alibaba_util", &["surge peaks"]);
+    has("fig03c_capping", &["High", "Moderate", "Less"]);
 }
 
 #[test]
 fn fig04_report() {
-    let r = fig04_comm::report(1);
-    assert!(r.contains("single machine"));
-    assert!(r.contains("across machines"));
+    has("fig04_comm", &["single machine", "across machines"]);
 }
 
 #[test]
 fn fig05_report() {
-    let r = fig05_challenge::report(1);
-    assert!(r.contains("late invocations"));
-    assert!(r.contains("v-MLP"));
+    has("fig05_challenge", &["late invocations", "v-MLP"]);
 }
 
 #[test]
 fn fig09_report() {
-    let r = fig09_patterns::report(Scale::tiny(), 1);
-    assert!(r.contains("L1") && r.contains("L2") && r.contains("L3"));
-    assert!(r.contains("generated"));
+    has("fig09_patterns", &["L1", "L2", "L3", "generated"]);
 }
 
 #[test]
 fn fig10_report_tiny() {
-    let r = fig10_qos::report(Scale::tiny(), 1);
-    assert!(r.contains("normalized to v-MLP"));
-    assert!(r.contains("High V_r"));
+    let r = has("fig10_qos", &["normalized to v-MLP", "High V_r"]);
     // Three patterns × header rows.
     assert_eq!(r.matches("Fig 10").count(), 3);
 }
 
 #[test]
 fn fig11_report_tiny() {
-    // Needs a horizon long enough to contain the 40 s peak.
-    let scale = Scale { machines: 6, max_rate: 30.0, horizon_s: 100.0, seeds: 1, label: "t" };
-    let r = fig11_utilization::report(scale, 1);
-    assert!(r.contains("peak @ 40s"));
-    assert!(r.contains("after/before"));
+    has("fig11_utilization", &["peak @ 40s", "after/before"]);
 }
 
 #[test]
 fn fig12_report_tiny() {
-    let r = fig12_latency::report(Scale::tiny(), 1);
+    let r = has("fig12_latency_dist", &["p99"]);
     assert_eq!(r.matches("Fig 12").count(), fig12_latency::LEVELS.len());
-    assert!(r.contains("p99"));
 }
 
 #[test]
 fn fig13_report_tiny() {
-    let r = fig13_tail::report(Scale::tiny(), 1);
+    let r = has("fig13_tail_latency", &["normalized to FairSched"]);
     assert_eq!(r.matches("Fig 13").count(), 3);
-    assert!(r.contains("normalized to FairSched"));
 }
 
 #[test]
 fn fig14_report_tiny() {
-    let r = fig14_throughput::report(Scale::tiny(), 1);
-    assert!(r.contains("100% high"));
-    assert!(r.contains("0% high"));
+    has("fig14_throughput", &["100% high", "0% high"]);
 }
 
 #[test]
 fn tables_report() {
-    let t = tables::all();
-    for marker in ["Table I", "Table II", "Table III", "Table V", "Table VI"] {
-        assert!(t.contains(marker));
-    }
+    has("tables", &["Table I", "Table II", "Table III", "Table V", "Table VI"]);
 }
