@@ -114,11 +114,10 @@ pub struct ExperimentConfig {
     /// still pass the invariant auditor.
     #[serde(default)]
     pub ledger_retention_s: f64,
-    /// Open-loop request-count cap: `Some(n)` makes the experiment pull
-    /// arrivals lazily from an [`OpenLoopSource`] until `n` requests (or
-    /// the horizon, whichever first) instead of materializing the trace.
-    /// `None` (the default) keeps the dense `generate_stream` path,
-    /// byte-identical to earlier builds.
+    /// Open-loop request-count cap: `Some(n)` stops the run's
+    /// [`OpenLoopSource`] after `n` arrivals (or at the horizon, whichever
+    /// comes first). `None` (the default) stops at the horizon only; the
+    /// arrivals are the same prefix either way.
     ///
     /// [`OpenLoopSource`]: mlp_workload::OpenLoopSource
     #[serde(default)]

@@ -18,16 +18,21 @@
 
 use crate::config::ExperimentConfig;
 use crate::error::Error;
+use crate::live::{LiveOptions, LiveOutcome, Submission};
 use crate::profiling::warm_profiles;
 use crate::registry::{default_registry, SchedulerRegistry, SchemeSpec};
 use crate::runner::{summarize, ExperimentResult};
 use crate::sim::{simulate, SimOutput};
 use mlp_model::RequestCatalog;
+use mlp_sched::Scheduler;
 use mlp_sim::SimRng;
-use mlp_workload::{
-    generate_stream, validate_stream_params, OpenLoopSource, RateSchedule, SliceSource,
-};
+use mlp_trace::ProfileStore;
+use mlp_workload::{validate_stream_params, OpenLoopSource, RateSchedule};
+use std::borrow::Cow;
 use std::path::Path;
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 
 /// A fully described, not-yet-run experiment.
 ///
@@ -202,103 +207,103 @@ impl<'a> Experiment<'a> {
     /// audit trail) for trace export and deep-dive analysis.
     pub fn run_full(self) -> Result<(ExperimentResult, SimOutput), Error> {
         self.validate()?;
-        let registry = self.registry.unwrap_or_else(|| default_registry());
-        let config = self.config;
-        let owned_catalog;
-        let catalog = match self.catalog {
-            Some(c) => c,
-            None => {
-                owned_catalog = RequestCatalog::paper();
-                &owned_catalog
-            }
-        };
+        let config = &self.config;
+        let catalog = self.resolved_catalog();
+        let mut source = self.arrival_source(&catalog)?;
+        let Kernel { profiles, mut rng, mut scheduler } = self.kernel(&catalog)?;
+        let out = simulate(config, &catalog, profiles, &mut source, scheduler.as_mut(), &mut rng);
+        let result = summarize(config, &catalog, &out);
+        Ok((result, out))
+    }
 
-        let root = SimRng::new(config.seed);
-        let mut arrival_rng = root.fork(0);
-        let mut sim_rng = root.fork(1);
-        let mut warm_rng = root.fork(2);
+    /// The live counterpart of [`run_full`](Experiment::run_full): the same
+    /// validation and kernel assembly, driven by the wall clock through
+    /// [`live::run_live`](crate::live::run_live) instead of by a generated
+    /// arrival stream. Blocks the calling thread until `shutdown` is
+    /// observed and the drain completes (or every submission sender hangs
+    /// up with nothing in flight); `notify` receives one outcome per
+    /// submission.
+    pub fn run_live(
+        self,
+        submissions: Receiver<Submission>,
+        shutdown: Arc<AtomicBool>,
+        opts: &LiveOptions,
+        notify: Box<dyn FnMut(LiveOutcome) + Send>,
+    ) -> Result<SimOutput, Error> {
+        self.validate()?;
+        let catalog = self.resolved_catalog();
+        let Kernel { profiles, mut rng, mut scheduler } = self.kernel(&catalog)?;
+        Ok(crate::live::run_live(
+            &self.config,
+            &catalog,
+            profiles,
+            scheduler.as_mut(),
+            &mut rng,
+            submissions,
+            shutdown,
+            opts,
+            notify,
+        ))
+    }
 
-        let mut profiles = warm_profiles(catalog, config.warmup_cases, &mut warm_rng);
-        // Bound the per-service history before the run when asked: the
-        // engine records one case per completed span, and Δt estimation
-        // cost is linear in the retained window.
-        profiles.set_retention(config.profile_retention);
-        let mix = config.mix.resolve(catalog);
+    /// The run's one arrival process: the configured pattern at
+    /// `max_rate`, under a flash-crowd surge when the overload config asks
+    /// for one, capped at `max_requests` when set, drawn lazily from RNG
+    /// fork 0.
+    pub(crate) fn arrival_source(&self, catalog: &RequestCatalog) -> Result<OpenLoopSource, Error> {
+        let c = &self.config;
+        let workload = |e| Error::InvalidConfig(format!("workload: {e}"));
+        let mix = c.mix.resolve(catalog);
         // The typed workload-parameter check needs the resolved mix, so it
         // runs here rather than in `validate()`; it still fires before any
         // arrival is generated.
-        validate_stream_params(config.max_rate, &mix)
-            .map_err(|e| Error::InvalidConfig(format!("workload: {e}")))?;
-        let mut scheduler = registry.build(&config.scheme, config.seed)?;
-
-        // Three arrival paths. The first two share the identical RNG draw
-        // sequence: the dense trace replayed through a SliceSource (figure
-        // runs, byte-identical to the historical slice engine), or a lazy
-        // OpenLoopSource when a request cap asks for bounded-memory
-        // open-loop traffic. The third drives a flash-crowd rate schedule
-        // when the overload config asks for a surge.
-        let surging = config.overload.enabled && config.overload.surge_multiplier > 1.0;
-        let out = if surging {
-            let o = config.overload;
-            let schedule = RateSchedule::flash_crowd(
-                config.pattern,
-                config.max_rate,
+        validate_stream_params(c.max_rate, &mix).map_err(workload)?;
+        let o = c.overload;
+        let schedule = if o.enabled && o.surge_multiplier > 1.0 {
+            RateSchedule::flash_crowd(
+                c.pattern,
+                c.max_rate,
                 o.surge_start_s,
                 o.surge_duration_s,
                 o.surge_multiplier,
                 o.surge_ramp_s,
             )
-            .map_err(|e| Error::InvalidConfig(format!("overload schedule: {e}")))?;
-            let mut source =
-                OpenLoopSource::scheduled(schedule, config.horizon_s, mix, arrival_rng)
-                    .map_err(|e| Error::InvalidConfig(format!("overload source: {e}")))?;
-            if let Some(cap) = config.max_requests {
-                source = source.with_max_requests(cap);
-            }
-            simulate(&config, catalog, profiles, &mut source, scheduler.as_mut(), &mut sim_rng)
+            .map_err(|e| Error::InvalidConfig(format!("overload schedule: {e}")))?
         } else {
-            match config.max_requests {
-                None => {
-                    let arrivals = generate_stream(
-                        config.pattern,
-                        config.max_rate,
-                        config.horizon_s,
-                        &mix,
-                        &mut arrival_rng,
-                    );
-                    let mut source = SliceSource::new(&arrivals);
-                    simulate(
-                        &config,
-                        catalog,
-                        profiles,
-                        &mut source,
-                        scheduler.as_mut(),
-                        &mut sim_rng,
-                    )
-                }
-                Some(cap) => {
-                    let mut source = OpenLoopSource::poisson(
-                        config.pattern,
-                        config.max_rate,
-                        config.horizon_s,
-                        mix,
-                        arrival_rng,
-                    )
-                    .with_max_requests(cap);
-                    simulate(
-                        &config,
-                        catalog,
-                        profiles,
-                        &mut source,
-                        scheduler.as_mut(),
-                        &mut sim_rng,
-                    )
-                }
-            }
+            RateSchedule::steady(c.pattern, c.max_rate).map_err(workload)?
         };
-        let result = summarize(&config, catalog, &out);
-        Ok((result, out))
+        let rng = SimRng::new(c.seed).fork(0);
+        let source =
+            OpenLoopSource::scheduled(schedule, c.horizon_s, mix, rng).map_err(workload)?;
+        Ok(match c.max_requests {
+            Some(cap) => source.with_max_requests(cap),
+            None => source,
+        })
     }
+
+    /// The caller's catalog, or the paper catalog when none was given.
+    fn resolved_catalog(&self) -> Cow<'a, RequestCatalog> {
+        self.catalog.map_or_else(|| Cow::Owned(RequestCatalog::paper()), Cow::Borrowed)
+    }
+
+    /// The one kernel assembly sim and live runs share: turns a validated
+    /// config into profiles warmed from RNG fork 2, the kernel RNG (fork
+    /// 1) and the scheduler built from the registry.
+    pub(crate) fn kernel(&self, catalog: &RequestCatalog) -> Result<Kernel, Error> {
+        let c = &self.config;
+        let root = SimRng::new(c.seed);
+        let profiles = warm_profiles(catalog, c.warmup_cases, &mut root.fork(2));
+        let scheduler =
+            self.registry.unwrap_or_else(|| default_registry()).build(&c.scheme, c.seed)?;
+        Ok(Kernel { profiles, rng: root.fork(1), scheduler })
+    }
+}
+
+/// What a kernel needs besides its config, catalog and clock.
+pub(crate) struct Kernel {
+    pub(crate) profiles: ProfileStore,
+    pub(crate) rng: SimRng,
+    pub(crate) scheduler: Box<dyn Scheduler>,
 }
 
 #[cfg(test)]

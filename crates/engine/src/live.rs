@@ -109,39 +109,30 @@ pub fn run_live(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Experiment;
     use crate::profiling::warm_profiles;
+    use crate::sim::LiveNotify;
     use std::sync::atomic::Ordering;
     use std::sync::mpsc;
 
-    /// End-to-end live smoke at the engine layer: submissions in,
-    /// one terminal outcome per submission out, clean drain on shutdown.
-    #[test]
-    fn live_kernel_completes_submissions_and_drains() {
-        let cfg = ExperimentConfig::smoke("vmlp").with_seed(11);
-        let catalog = RequestCatalog::paper();
-        let root = SimRng::new(cfg.seed);
-        let mut warm_rng = root.fork(2);
-        let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
+    type Kernel = Box<
+        dyn FnOnce(Receiver<Submission>, Arc<AtomicBool>, &LiveOptions, LiveNotify) -> SimOutput
+            + Send,
+    >;
 
+    /// Runs `kernel` on its own thread, submits `n` requests, waits for
+    /// one outcome each, then shuts it down.
+    fn drive(n: u64, kernel: Kernel) -> (Vec<LiveOutcome>, SimOutput) {
         let (sub_tx, sub_rx) = mpsc::sync_channel::<Submission>(64);
         let (out_tx, out_rx) = mpsc::channel::<LiveOutcome>();
         let shutdown = Arc::new(AtomicBool::new(false));
         let kernel_shutdown = Arc::clone(&shutdown);
-
-        let kernel = std::thread::spawn(move || {
-            let mut rng = SimRng::new(cfg.seed).fork(1);
-            let mut sched =
-                crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
+        let handle = std::thread::spawn(move || {
             let opts = LiveOptions {
                 drain_timeout: Duration::from_secs(30),
                 poll: Duration::from_millis(2),
             };
-            run_live(
-                &cfg,
-                &catalog,
-                profiles,
-                sched.as_mut(),
-                &mut rng,
+            kernel(
                 sub_rx,
                 kernel_shutdown,
                 &opts,
@@ -150,20 +141,27 @@ mod tests {
                 }),
             )
         });
-
-        const N: u64 = 40;
-        for token in 0..N {
+        for token in 0..n {
             sub_tx.send(Submission { token, rtype: RequestTypeId((token % 3) as u32) }).unwrap();
         }
-        let mut outcomes = Vec::new();
-        for _ in 0..N {
-            outcomes.push(out_rx.recv_timeout(Duration::from_secs(60)).expect("outcome per token"));
-        }
+        let outcomes = (0..n)
+            .map(|_| out_rx.recv_timeout(Duration::from_secs(60)).expect("outcome per token"))
+            .collect();
         shutdown.store(true, Ordering::Relaxed);
         drop(sub_tx);
-        let out = kernel.join().expect("kernel thread");
+        (outcomes, handle.join().expect("kernel thread"))
+    }
 
-        assert_eq!(outcomes.len() as u64, N);
+    /// End-to-end live smoke at the engine layer: submissions in,
+    /// one terminal outcome per submission out, clean drain on shutdown.
+    #[test]
+    fn live_kernel_completes_submissions_and_drains() {
+        const N: u64 = 40;
+        let exp = Experiment::from_config(ExperimentConfig::smoke("vmlp").with_seed(11));
+        let (outcomes, out) = drive(
+            N,
+            Box::new(|rx, stop, opts, notify| exp.run_live(rx, stop, opts, notify).unwrap()),
+        );
         let mut tokens: Vec<u64> = outcomes.iter().map(|o| o.token).collect();
         tokens.sort_unstable();
         assert_eq!(tokens, (0..N).collect::<Vec<_>>(), "every token answered once");
@@ -173,5 +171,30 @@ mod tests {
         );
         assert_eq!(out.arrived as u64, N);
         assert!(out.invariant_report.is_none(), "{:?}", out.invariant_report);
+    }
+
+    /// The free `run_live` bounds the profile store it is handed to the
+    /// config's `profile_retention`, like a simulated run does.
+    #[test]
+    fn free_run_live_applies_profile_retention() {
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(3).with_profile_retention(16);
+        let catalog = RequestCatalog::paper();
+        let (_, out) = drive(
+            20,
+            Box::new(move |rx, stop, opts, notify| {
+                let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut SimRng::new(2));
+                let mut sched = crate::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
+                let mut rng = SimRng::new(1);
+                run_live(&cfg, &catalog, profiles, sched.as_mut(), &mut rng, rx, stop, opts, notify)
+            }),
+        );
+        for s in RequestCatalog::paper().services.services() {
+            assert!(
+                out.profiles.case_count(s.id) <= 16,
+                "{}: {}",
+                s.name,
+                out.profiles.case_count(s.id)
+            );
+        }
     }
 }

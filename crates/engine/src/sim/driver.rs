@@ -109,17 +109,11 @@ pub(crate) struct SimDriver<'s> {
 }
 
 impl<'s> SimDriver<'s> {
-    pub(crate) fn new(
-        source: &'s mut dyn ArrivalSource,
-        queue_capacity: usize,
-        hard_cap: SimTime,
-    ) -> Self {
-        let mut d = SimDriver {
-            queue: EventQueue::with_capacity(queue_capacity),
-            source,
-            pending: None,
-            hard_cap,
-        };
+    /// The event queue starts with room for 4096 events: it only ever
+    /// holds the in-flight window, however long the arrival stream is.
+    pub(crate) fn new(source: &'s mut dyn ArrivalSource, hard_cap: SimTime) -> Self {
+        let mut d =
+            SimDriver { queue: EventQueue::with_capacity(4096), source, pending: None, hard_cap };
         d.pending = d.source.next_arrival();
         d
     }

@@ -244,29 +244,9 @@ pub fn simulate(
     } else {
         TraceCollector::new()
     };
-    simulate_with(cfg, catalog, profiles, source, scheduler, rng, collector)
-}
-
-/// [`simulate`] with a caller-supplied collector (e.g. a streaming
-/// collector wired to a JSONL spill sink for soak runs).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with(
-    cfg: &ExperimentConfig,
-    catalog: &RequestCatalog,
-    profiles: ProfileStore,
-    source: &mut dyn ArrivalSource,
-    scheduler: &mut dyn Scheduler,
-    rng: &mut SimRng,
-    collector: TraceCollector,
-) -> SimOutput {
-    // Queue capacity: sized from the source's hint when one exists, but
-    // capped — an open-loop source may promise millions of arrivals while
-    // the queue only ever holds the in-flight window.
-    let cap = source.size_hint().map_or(4096, |n| (n * 4 + 16).min(1 << 20));
     let hard_cap = SimTime::from_secs_f64(cfg.horizon_s * cfg.drain_factor.max(1.0));
-    let driver = SimDriver::new(source, cap, hard_cap);
-    let mut sim = build_sim(cfg, catalog, profiles, collector, driver, hard_cap);
-    sim.run(scheduler, rng)
+    let driver = SimDriver::new(source, hard_cap);
+    build_sim(cfg, catalog, profiles, collector, driver, hard_cap).run(scheduler, rng)
 }
 
 /// [`simulate`] against the wall clock: the kernel runs on a
@@ -306,15 +286,19 @@ pub(crate) fn simulate_live(
 }
 
 /// Shared construction: everything about a run except where its clock
-/// comes from.
+/// comes from. The profile store is bounded to `cfg.profile_retention`
+/// here, so sim and live runs cap their history alike.
 fn build_sim<'c, D: Driver>(
     cfg: &ExperimentConfig,
     catalog: &'c RequestCatalog,
-    profiles: ProfileStore,
+    mut profiles: ProfileStore,
     collector: TraceCollector,
     driver: D,
     hard_cap: SimTime,
 ) -> Sim<'c, D> {
+    // Δt estimation cost is linear in the retained window, and the engine
+    // records one case per completed span.
+    profiles.set_retention(cfg.profile_retention);
     Sim {
         cluster: cfg.build_cluster(),
         pool: ShardPool::new(cfg.workers),
@@ -381,9 +365,8 @@ struct Sim<'c, D: Driver> {
     /// admitted; moved into the table entry at admission. Bounded by the
     /// scheduler's waiting queue, which v-MLP never sheds.
     pending_info: HashMap<u64, RequestInfo>,
-    /// Monotonic request-id allocator (ids are assigned in pull order, so
-    /// a [`SliceSource`](mlp_workload::SliceSource) reproduces the
-    /// historical arrival-index ids exactly).
+    /// Monotonic request-id allocator: ids are assigned in pull order, so
+    /// a request's id is its index in the arrival stream.
     next_request_id: u64,
     /// Arrivals processed so far.
     arrived: u64,
@@ -492,25 +475,13 @@ fn rv_close(a: ResourceVector, b: ResourceVector) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::warm_profiles;
+    use crate::experiment::{Experiment, Kernel};
     use crate::registry::PAPER_SCHEMES;
     use mlp_trace::Span;
-    use mlp_workload::{generate_stream, OpenLoopSource, SliceSource};
 
     fn run(scheme: &str, seed: u64) -> SimOutput {
         let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
-        let catalog = RequestCatalog::paper();
-        let root = SimRng::new(cfg.seed);
-        let mut arr_rng = root.fork(0);
-        let mut sim_rng = root.fork(1);
-        let mut warm_rng = root.fork(2);
-        let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
-        let mix = cfg.mix.resolve(&catalog);
-        let arrivals =
-            generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut arr_rng);
-        let mut source = SliceSource::new(&arrivals);
-        let mut sched = crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-        simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut sim_rng)
+        Experiment::from_config(cfg).run_full().unwrap().1
     }
 
     #[test]
@@ -639,18 +610,13 @@ mod tests {
 
         let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_rate(200.0);
         let catalog = RequestCatalog::paper();
-        let root = SimRng::new(cfg.seed);
-        let mut sim_rng = root.fork(1);
-        let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut root.fork(2));
-        let mix = cfg.mix.resolve(&catalog);
-        let arrivals =
-            generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut root.fork(0));
-        let mut source = SliceSource::new(&arrivals);
-        let mut sched = crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
+        let exp = Experiment::from_config(cfg.clone());
+        let mut source = exp.arrival_source(&catalog).unwrap();
+        let Kernel { profiles, mut rng, mut scheduler } = exp.kernel(&catalog).unwrap();
         let hard_cap = SimTime::from_secs_f64(cfg.horizon_s * cfg.drain_factor.max(1.0));
-        let driver = Counting { inner: SimDriver::new(&mut source, 4096, hard_cap), flagged: 0 };
+        let driver = Counting { inner: SimDriver::new(&mut source, hard_cap), flagged: 0 };
         let mut sim = build_sim(&cfg, &catalog, profiles, TraceCollector::new(), driver, hard_cap);
-        let out = sim.run(sched.as_mut(), &mut sim_rng);
+        let out = sim.run(scheduler.as_mut(), &mut rng);
         assert!(out.collector.completed() > 100, "{} completed", out.collector.completed());
         assert_eq!(sim.driver.flagged, out.collector.completed());
     }
@@ -671,20 +637,12 @@ mod tests {
     fn streaming_open_loop_run_is_bounded_and_consistent() {
         // An open-loop source with a request cap plus the streaming
         // collector: the configuration fig_soak uses, at smoke scale.
-        let cfg = ExperimentConfig::smoke("vmlp").with_seed(9).with_stream_stats(true);
-        let catalog = RequestCatalog::paper();
-        let root = SimRng::new(cfg.seed);
-        let arr_rng = root.fork(0);
-        let mut sim_rng = root.fork(1);
-        let mut warm_rng = root.fork(2);
-        let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
-        let mix = cfg.mix.resolve(&catalog);
         // The smoke horizon offers >100 arrivals, so a cap of 60 binds.
-        let mut source =
-            OpenLoopSource::poisson(cfg.pattern, cfg.max_rate, cfg.horizon_s, mix, arr_rng)
-                .with_max_requests(60);
-        let mut sched = crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-        let out = simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut sim_rng);
+        let cfg = ExperimentConfig::smoke("vmlp")
+            .with_seed(9)
+            .with_stream_stats(true)
+            .with_max_requests(60);
+        let out = Experiment::from_config(cfg).run_full().unwrap().1;
         assert_eq!(out.arrived, 60, "cap honored");
         assert!(out.collector.is_streaming());
         assert!(out.collector.spans().is_empty(), "streaming mode keeps no raw spans");

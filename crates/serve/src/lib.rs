@@ -2,7 +2,8 @@
 //!
 //! Puts the simulator's event-application loop behind a socket. A
 //! [`Server`] runs two threads: the engine's live kernel
-//! ([`mlp_engine::live::run_live`]) and `mlp-serve`, one `poll(2)` loop
+//! ([`Experiment::run_live`], the same validated assembly a simulated run
+//! uses) and `mlp-serve`, one `poll(2)` loop
 //! over a `std::net` listener, a wake socket and every connection (the
 //! workspace is vendored-only: no tokio, no hyper; Unix only). The loop
 //! frames requests out of per-connection buffers, `try_send`s each `RUN`
@@ -29,11 +30,9 @@ pub mod loadgen;
 pub mod protocol;
 
 use mlp_engine::live::{LiveOptions, LiveOutcome, OutcomeKind, Submission};
-use mlp_engine::profiling::warm_profiles;
 use mlp_engine::sim::SimOutput;
-use mlp_engine::ExperimentConfig;
+use mlp_engine::{Experiment, ExperimentConfig};
 use mlp_model::{RequestCatalog, RequestTypeId};
-use mlp_sim::SimRng;
 use protocol::{Mode, Request, Response};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -178,11 +177,13 @@ impl Server {
     /// Binds the listener, spins up the front-door loop and the kernel
     /// thread, and returns once the server is accepting.
     ///
-    /// A scheme the registry cannot build is refused with
+    /// A config [`Experiment::validate`] rejects (an unknown scheme, no
+    /// machines, more shards than machines, …) is refused with
     /// [`io::ErrorKind::InvalidInput`] before anything is bound or spawned.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
-        mlp_engine::default_registry()
-            .validate_spec(&cfg.experiment.scheme)
+        let experiment = Experiment::from_config(cfg.experiment.clone());
+        experiment
+            .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
@@ -200,30 +201,13 @@ impl Server {
 
         // Kernel thread: owns the live run end to end.
         let kernel = {
-            let exp = cfg.experiment.clone();
             let kernel_shutdown = Arc::clone(&shared.shutdown);
             let sink = KernelSink(Arc::clone(&shared));
             let opts = LiveOptions { drain_timeout: cfg.drain_timeout, ..LiveOptions::default() };
             std::thread::Builder::new().name("mlp-kernel".into()).spawn(move || {
-                let catalog = RequestCatalog::paper();
-                let root = SimRng::new(exp.seed);
-                let mut warm_rng = root.fork(2);
-                let profiles = warm_profiles(&catalog, exp.warmup_cases, &mut warm_rng);
-                let mut rng = root.fork(1);
-                let mut sched = mlp_engine::default_registry()
-                    .build(&exp.scheme, exp.seed)
-                    .expect("`start` validated the scheme");
-                mlp_engine::live::run_live(
-                    &exp,
-                    &catalog,
-                    profiles,
-                    sched.as_mut(),
-                    &mut rng,
-                    sub_rx,
-                    kernel_shutdown,
-                    &opts,
-                    Box::new(move |o| sink.deliver(o)),
-                )
+                experiment
+                    .run_live(sub_rx, kernel_shutdown, &opts, Box::new(move |o| sink.deliver(o)))
+                    .expect("`start` validated the config")
             })?
         };
 
@@ -790,13 +774,25 @@ mod tests {
 
     #[test]
     fn invalid_scheme_is_refused_before_binding() {
+        refused_before_binding(ExperimentConfig::smoke("vmlp:bogus=1"), "bogus");
+    }
+
+    /// A cluster the engine cannot plan on would panic the kernel thread
+    /// on the first `RUN`, so it is refused up front.
+    #[test]
+    fn invalid_cluster_is_refused_before_binding() {
+        let smoke = ExperimentConfig::smoke("vmlp");
+        refused_before_binding(ExperimentConfig { machines: 0, ..smoke.clone() }, "machines");
+        refused_before_binding(ExperimentConfig { machines: 4, shards: 8, ..smoke }, "shards");
+    }
+
+    fn refused_before_binding(exp: ExperimentConfig, needle: &str) {
         // A free loopback port, released again for the server to try.
         let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
-        let exp = ExperimentConfig::smoke("vmlp:bogus=1").with_seed(17);
         let cfg = ServeConfig { addr: addr.to_string(), ..ServeConfig::smoke(exp) };
-        let err = Server::start(cfg).err().expect("an unknown param must be refused");
+        let err = Server::start(cfg).err().expect("an invalid config must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        assert!(err.to_string().contains("bogus"), "{err}");
+        assert!(err.to_string().contains(needle), "{err}");
         // Threads are spawned only after the bind, and the front-door loop
         // would own the listener: the port being free means none was started.
         TcpListener::bind(addr).expect("nothing kept the port");

@@ -7,13 +7,12 @@
 //! concrete request stream, and a synthetic stand-in for the Alibaba
 //! cluster-trace container-utilization data of Fig 3b.
 //!
-//! Two ways to consume a workload:
-//!
-//! * **dense** — [`generate_stream`] materializes the whole trace up front
-//!   (figure runs, byte-identical replays);
-//! * **streaming** — an [`ArrivalSource`] is pulled one arrival at a time
-//!   ([`OpenLoopSource`] generates lazily with no horizon-length buffers;
-//!   [`SliceSource`] adapts a dense trace to the pull interface).
+//! A run consumes its workload through one [`ArrivalSource`]: an
+//! [`OpenLoopSource`] over a [`RateSchedule`] (steady, or a flash crowd)
+//! draws each arrival lazily when the engine pulls it. [`generate_stream`]
+//! materializes the identical stream up front; it is the dense oracle the
+//! tests check the lazy path against (replayed through [`SliceSource`]),
+//! and the Fig 9 pattern plots.
 
 pub mod alibaba;
 pub mod arrivals;
@@ -29,4 +28,4 @@ pub use arrivals::{
 pub use error::WorkloadError;
 pub use patterns::WorkloadPattern;
 pub use schedule::{RateSchedule, RateSegment, Sinusoid};
-pub use source::{collect_source, ArrivalSource, OpenLoopSource, SliceSource, ThinnedSource};
+pub use source::{ArrivalSource, OpenLoopSource, SliceSource};

@@ -192,14 +192,6 @@ impl RateSchedule {
         Ok(s)
     }
 
-    /// Adds a sinusoidal component to an existing schedule (e.g. a flash
-    /// crowd on top of a diurnal swing). Replaces any previous sinusoid.
-    pub fn with_sinusoid(mut self, period_s: f64, amplitude: f64) -> Result<Self, WorkloadError> {
-        let probe = Self::diurnal_sine(self.pattern, self.base_rate, period_s, amplitude)?;
-        self.sinusoid = probe.sinusoid;
-        Ok(self)
-    }
-
     /// The sinusoidal component, if one is set.
     pub fn sinusoid(&self) -> Option<Sinusoid> {
         self.sinusoid
@@ -329,15 +321,6 @@ mod tests {
             assert!(s.rate_at(t) > 0.0, "rate must stay positive at {t}");
             t += 0.05;
         }
-    }
-
-    #[test]
-    fn sinusoid_composes_with_segments() {
-        let s = flash3x().with_sinusoid(50.0, 0.25).unwrap();
-        // At t=40 the flash plateau (3×) is in force; sine at 2π·0.8.
-        let expect = 300.0 * (1.0 + 0.25 * (2.0 * std::f64::consts::PI * 0.8).sin());
-        assert!((s.rate_at(40.0) - expect).abs() < 1e-9);
-        assert_eq!(s.peak_rate(), 300.0 * 1.25);
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! Pull-based arrival sources: the streaming half of the workload layer.
+//! Pull-based arrival sources: how the engine consumes a workload.
 //!
-//! [`generate_stream`](crate::generate_stream) materializes a finite trace
-//! up front — fine for figure runs, impossible for the open-loop traffic a
-//! production-scale cluster faces (millions of requests would mean
-//! gigabytes of pre-generated arrivals). An [`ArrivalSource`] inverts the
-//! flow: the engine *pulls* the next arrival when it is ready to schedule
-//! it, so memory stays O(1) in the stream length and the stream can be
-//! unbounded (capped by a horizon and/or a request count instead).
+//! An [`ArrivalSource`] is pulled one arrival at a time: the engine asks
+//! for the next arrival when it is ready to schedule it, so memory stays
+//! O(1) in the stream length and the stream can be unbounded (capped by a
+//! horizon and/or a request count instead). Every run builds exactly one
+//! [`OpenLoopSource`] over a [`RateSchedule`].
 //!
 //! Every source is deterministic in its seed: pulling the same source twice
-//! yields bit-identical streams, and [`SliceSource`] replays a
-//! pre-generated trace exactly, so the fixed-seed figure pipeline keeps its
-//! byte-identical outputs.
+//! yields bit-identical streams. [`generate_stream`](crate::generate_stream)
+//! is the dense oracle — it draws the identical sequence up front — and
+//! [`SliceSource`] replays such a trace through the pull interface, which
+//! is how the tests pin the lazy path against it.
 
 use crate::arrivals::{next_candidate, sample_mix, thin_accept, validate_stream_params, Arrival};
 use crate::error::WorkloadError;
@@ -29,20 +28,13 @@ use rand::Rng;
 pub trait ArrivalSource {
     /// The next arrival, or `None` when the stream is exhausted.
     fn next_arrival(&mut self) -> Option<Arrival>;
-
-    /// Total number of arrivals this source will produce, when known up
-    /// front (lets consumers pre-size buffers). `None` for open-loop
-    /// sources whose count is only known once the stream ends.
-    fn size_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Replays a pre-generated trace slice, bit-identically.
 ///
-/// This is the bridge between the dense figure pipeline and the streaming
-/// engine: `generate_stream` → `SliceSource` feeds the exact same arrivals
-/// in the exact same order as the old slice-based engine path.
+/// The dense oracle's adapter: `generate_stream` → `SliceSource` feeds the
+/// arrivals of a materialized trace in order, so a run over it can be
+/// compared against the same run over the lazy [`OpenLoopSource`].
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
     arrivals: &'a [Arrival],
@@ -70,49 +62,22 @@ impl ArrivalSource for SliceSource<'_> {
         }
         a
     }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.arrivals.len())
-    }
 }
 
-/// How an [`OpenLoopSource`] modulates its instantaneous arrival rate.
-#[derive(Debug, Clone)]
-enum RateModel {
-    /// Deterministic rate curve (the paper's L1/L2/L3/constant patterns):
-    /// a non-homogeneous Poisson process by Lewis–Shedler thinning.
-    Pattern(WorkloadPattern),
-    /// A pattern modulated by a piecewise [`RateSchedule`] (flash crowds,
-    /// diurnal crests): still deterministic in `t`, thinned against the
-    /// schedule's peak rate.
-    Schedule(RateSchedule),
-    /// Markov-modulated Poisson process: the rate jumps between phases,
-    /// each holding for an exponentially distributed dwell time. The
-    /// closest synthetic stand-in for bursty production traffic whose
-    /// "pattern" is itself random.
-    Mmpp {
-        /// `(rate req/s, mean dwell s)` per phase, cycled in order.
-        phases: Vec<(f64, f64)>,
-        /// Index of the phase in force at `next_switch_s`−dwell.
-        phase: usize,
-        /// When the current phase ends, in seconds.
-        next_switch_s: f64,
-    },
-}
-
-/// Lazily generates a Poisson (or MMPP) arrival stream: unbounded memory
-/// footprint of **zero** arrivals — each one is drawn when pulled.
+/// Lazily generates a non-homogeneous Poisson arrival stream whose rate
+/// follows a [`RateSchedule`]: a memory footprint of **zero** arrivals —
+/// each one is drawn when pulled, by Lewis–Shedler thinning against the
+/// schedule's [`peak_rate`](RateSchedule::peak_rate).
 ///
 /// Stops at the time horizon, and additionally at a request-count cap when
 /// one is set (open-loop soak runs size themselves by count, not time).
-/// Deterministic in the `SimRng` it owns: with the [`WorkloadPattern`] rate
-/// model it draws the *identical* RNG sequence as
-/// [`generate_stream`](crate::generate_stream), so collecting this source
-/// reproduces the pre-materialized trace bit-for-bit.
+/// Deterministic in the `SimRng` it owns: over a steady schedule it draws
+/// the *identical* RNG sequence as [`generate_stream`](crate::generate_stream),
+/// so collecting this source reproduces the dense trace bit-for-bit.
 #[derive(Debug)]
 pub struct OpenLoopSource {
-    model: RateModel,
-    /// Majorant rate for thinning (peak pattern rate / max phase rate).
+    schedule: RateSchedule,
+    /// Majorant rate for thinning (the schedule's peak rate).
     max_rate: f64,
     horizon_s: f64,
     mix: Vec<(RequestTypeId, f64)>,
@@ -126,9 +91,10 @@ pub struct OpenLoopSource {
 }
 
 impl OpenLoopSource {
-    /// A non-homogeneous Poisson source following `pattern`, exactly the
-    /// process behind [`generate_stream`](crate::generate_stream).
-    /// Panics on invalid parameters; see [`Self::try_poisson`].
+    /// A source following `pattern` at peak `max_rate`: a steady schedule,
+    /// exactly the process behind [`generate_stream`](crate::generate_stream).
+    /// Panics on invalid parameters; [`Self::scheduled`] returns the typed
+    /// [`WorkloadError`] instead.
     pub fn poisson(
         pattern: WorkloadPattern,
         max_rate: f64,
@@ -136,38 +102,16 @@ impl OpenLoopSource {
         mix: Vec<(RequestTypeId, f64)>,
         rng: SimRng,
     ) -> Self {
-        Self::try_poisson(pattern, max_rate, horizon_s, mix, rng).unwrap_or_else(|e| panic!("{e}"))
+        RateSchedule::steady(pattern, max_rate)
+            .and_then(|schedule| Self::scheduled(schedule, horizon_s, mix, rng))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`Self::poisson`]: returns the typed
-    /// [`WorkloadError`] instead of panicking.
-    pub fn try_poisson(
-        pattern: WorkloadPattern,
-        max_rate: f64,
-        horizon_s: f64,
-        mix: Vec<(RequestTypeId, f64)>,
-        rng: SimRng,
-    ) -> Result<Self, WorkloadError> {
-        let total_w = validate_stream_params(max_rate, &mix)?;
-        Ok(OpenLoopSource {
-            model: RateModel::Pattern(pattern),
-            max_rate,
-            horizon_s,
-            mix,
-            total_w,
-            max_requests: None,
-            emitted: 0,
-            t: 0.0,
-            rng,
-            done: false,
-        })
-    }
-
-    /// A source driven by a piecewise [`RateSchedule`]: the base pattern's
-    /// load times the schedule's segment multipliers, thinned against the
-    /// schedule's [`peak_rate`](RateSchedule::peak_rate). With no segments
-    /// this draws the *identical* RNG sequence as [`Self::poisson`] at the
-    /// base rate, so surge-off runs stay byte-identical.
+    /// A source driven by a [`RateSchedule`]: the base pattern's load times
+    /// the schedule's multipliers, thinned against its
+    /// [`peak_rate`](RateSchedule::peak_rate). A steady schedule's rate is
+    /// the bare pattern's times exactly 1.0 and its peak is the base rate,
+    /// so surge-off runs draw the dense generator's sequence bit for bit.
     pub fn scheduled(
         schedule: RateSchedule,
         horizon_s: f64,
@@ -177,52 +121,7 @@ impl OpenLoopSource {
         let max_rate = schedule.peak_rate();
         let total_w = validate_stream_params(max_rate, &mix)?;
         Ok(OpenLoopSource {
-            model: RateModel::Schedule(schedule),
-            max_rate,
-            horizon_s,
-            mix,
-            total_w,
-            max_requests: None,
-            emitted: 0,
-            t: 0.0,
-            rng,
-            done: false,
-        })
-    }
-
-    /// A Markov-modulated Poisson source cycling through `phases` of
-    /// `(rate req/s, mean dwell s)`. Dwell times are exponential; the
-    /// thinning majorant is the largest phase rate.
-    /// Panics on invalid parameters; see [`Self::try_mmpp`].
-    pub fn mmpp(
-        phases: Vec<(f64, f64)>,
-        horizon_s: f64,
-        mix: Vec<(RequestTypeId, f64)>,
-        rng: SimRng,
-    ) -> Self {
-        Self::try_mmpp(phases, horizon_s, mix, rng).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Self::mmpp`].
-    pub fn try_mmpp(
-        phases: Vec<(f64, f64)>,
-        horizon_s: f64,
-        mix: Vec<(RequestTypeId, f64)>,
-        mut rng: SimRng,
-    ) -> Result<Self, WorkloadError> {
-        if phases.is_empty() {
-            return Err(WorkloadError::InvalidPhases("MMPP needs at least one phase".into()));
-        }
-        if let Some(&(r, d)) = phases.iter().find(|&&(r, d)| !(r >= 0.0 && d > 0.0)) {
-            return Err(WorkloadError::InvalidPhases(format!(
-                "MMPP phases need non-negative rates and positive dwell times, got ({r}, {d})"
-            )));
-        }
-        let max_rate = phases.iter().map(|&(r, _)| r).fold(0.0f64, f64::max);
-        let total_w = validate_stream_params(max_rate, &mix)?;
-        let first_dwell = exp_draw(phases[0].1, &mut rng);
-        Ok(OpenLoopSource {
-            model: RateModel::Mmpp { phases, phase: 0, next_switch_s: first_dwell },
+            schedule,
             max_rate,
             horizon_s,
             mix,
@@ -245,23 +144,6 @@ impl OpenLoopSource {
     pub fn emitted(&self) -> u64 {
         self.emitted
     }
-
-    /// Instantaneous target rate at candidate time `t` (advancing MMPP
-    /// phases as needed; phase transitions draw from the RNG exactly once
-    /// per dwell, so the stream stays deterministic however it is pulled).
-    fn rate_at(&mut self, t: f64) -> f64 {
-        match &mut self.model {
-            RateModel::Pattern(p) => p.rate_at(t, self.max_rate),
-            RateModel::Schedule(s) => s.rate_at(t),
-            RateModel::Mmpp { phases, phase, next_switch_s } => {
-                while *next_switch_s <= t {
-                    *phase = (*phase + 1) % phases.len();
-                    *next_switch_s += exp_draw(phases[*phase].1, &mut self.rng);
-                }
-                phases[*phase].0
-            }
-        }
-    }
 }
 
 impl ArrivalSource for OpenLoopSource {
@@ -282,8 +164,7 @@ impl ArrivalSource for OpenLoopSource {
                 return None;
             }
             let accept: f64 = self.rng.rng().gen_range(0.0..1.0);
-            let rate = self.rate_at(self.t);
-            if thin_accept(accept, self.max_rate, rate) {
+            if thin_accept(accept, self.max_rate, self.schedule.rate_at(self.t)) {
                 let request_type = sample_mix(&self.mix, self.total_w, &mut self.rng);
                 self.emitted += 1;
                 return Some(Arrival { at: SimTime::from_secs_f64(self.t), request_type });
@@ -292,59 +173,15 @@ impl ArrivalSource for OpenLoopSource {
     }
 }
 
-/// Drops arrivals from an inner source, keeping each independently with
-/// probability `keep`. Models downsampled replay (evaluate a scheduler
-/// against a thinned production stream) and A/B traffic splits; thinning a
-/// Poisson process yields a Poisson process at `keep × rate`.
-#[derive(Debug)]
-pub struct ThinnedSource<S> {
-    inner: S,
-    keep: f64,
-    rng: SimRng,
-}
-
-impl<S: ArrivalSource> ThinnedSource<S> {
-    /// Wraps `inner`, keeping each arrival with probability `keep ∈ [0, 1]`.
-    /// Deterministic in `rng`: one draw per inner arrival, whatever the
-    /// consumer does between pulls.
-    pub fn new(inner: S, keep: f64, rng: SimRng) -> Self {
-        assert!((0.0..=1.0).contains(&keep), "keep probability must be in [0, 1], got {keep}");
-        ThinnedSource { inner, keep, rng }
-    }
-}
-
-impl<S: ArrivalSource> ArrivalSource for ThinnedSource<S> {
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        loop {
-            let a = self.inner.next_arrival()?;
-            let u: f64 = self.rng.rng().gen_range(0.0..1.0);
-            if u < self.keep {
-                return Some(a);
-            }
-        }
-    }
-    // No size_hint: the kept count is only known at the end.
-}
-
-/// Exponential draw with the given mean (inverse-CDF over a (0,1] uniform).
-fn exp_draw(mean: f64, rng: &mut SimRng) -> f64 {
-    let u: f64 = rng.rng().gen_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() * mean
-}
-
-/// Drains a source into a vector (testing / small-trace convenience).
-pub fn collect_source(source: &mut dyn ArrivalSource) -> Vec<Arrival> {
-    let mut out = Vec::with_capacity(source.size_hint().unwrap_or(0));
-    while let Some(a) = source.next_arrival() {
-        out.push(a);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate_stream;
+
+    /// Drains a source into a vector.
+    pub(super) fn collect_source(source: &mut dyn ArrivalSource) -> Vec<Arrival> {
+        std::iter::from_fn(|| source.next_arrival()).collect()
+    }
 
     fn mix2() -> Vec<(RequestTypeId, f64)> {
         vec![(RequestTypeId(0), 0.6), (RequestTypeId(1), 0.4)]
@@ -355,7 +192,7 @@ mod tests {
         let mut rng = SimRng::new(5);
         let trace = generate_stream(WorkloadPattern::L1Pulse, 200.0, 20.0, &mix2(), &mut rng);
         let mut src = SliceSource::new(&trace);
-        assert_eq!(src.size_hint(), Some(trace.len()));
+        assert_eq!(src.remaining(), trace.len());
         let replay = collect_source(&mut src);
         assert_eq!(replay, trace);
         assert_eq!(src.next_arrival(), None, "stays exhausted");
@@ -397,9 +234,8 @@ mod tests {
 
     #[test]
     fn steady_schedule_matches_poisson_bit_for_bit() {
-        // A schedule with no segments has peak_rate == base_rate and the
-        // identical rate curve, so the thinning draws — and therefore the
-        // whole stream — must match the plain poisson source exactly.
+        // `poisson` is a steady schedule: spelling the schedule out must
+        // give the identical stream.
         let sched = RateSchedule::steady(WorkloadPattern::L2Fluctuating, 300.0).unwrap();
         let mut a = OpenLoopSource::scheduled(sched, 25.0, mix2(), SimRng::new(17)).unwrap();
         let mut b = OpenLoopSource::poisson(
@@ -428,70 +264,11 @@ mod tests {
         assert!(surge > 2.2 * pre, "surge {surge} vs pre {pre}");
         assert!(post < 1.4 * pre, "load must recover, post {post} vs pre {pre}");
     }
-
-    #[test]
-    fn mmpp_is_deterministic_and_rate_bounded() {
-        let phases = vec![(800.0, 2.0), (100.0, 3.0)];
-        let mut a = OpenLoopSource::mmpp(phases.clone(), 60.0, mix2(), SimRng::new(11));
-        let mut b = OpenLoopSource::mmpp(phases, 60.0, mix2(), SimRng::new(11));
-        let sa = collect_source(&mut a);
-        let sb = collect_source(&mut b);
-        assert_eq!(sa, sb, "MMPP must be seed-deterministic");
-        assert!(!sa.is_empty());
-        // Overall rate must land between the phase rates (well under the
-        // majorant, well over the low phase × its share).
-        let rate = sa.len() as f64 / 60.0;
-        assert!(rate < 800.0 && rate > 50.0, "achieved {rate} req/s");
-    }
-
-    #[test]
-    fn mmpp_phases_actually_modulate() {
-        // Long dwells: 1s buckets should show clearly bimodal counts.
-        let phases = vec![(1000.0, 5.0), (50.0, 5.0)];
-        let mut src = OpenLoopSource::mmpp(phases, 100.0, mix2(), SimRng::new(3));
-        let arrivals = collect_source(&mut src);
-        let rate = crate::empirical_rate(&arrivals, 100.0, 1.0);
-        let values = rate.values();
-        let hi = values.iter().filter(|&&v| v > 600.0).count();
-        let lo = values.iter().filter(|&&v| v < 200.0).count();
-        assert!(hi > 5, "high phase never visible ({hi} hot buckets)");
-        assert!(lo > 5, "low phase never visible ({lo} cold buckets)");
-    }
-
-    #[test]
-    fn thinned_source_keeps_expected_fraction() {
-        let inner = OpenLoopSource::poisson(
-            WorkloadPattern::Constant,
-            1000.0,
-            60.0,
-            mix2(),
-            SimRng::new(21),
-        );
-        let total = 1000.0 * 60.0;
-        let mut thinned = ThinnedSource::new(inner, 0.25, SimRng::new(22));
-        let kept = collect_source(&mut thinned).len() as f64;
-        let expected = 0.25 * total;
-        assert!(
-            (kept - expected).abs() < 6.0 * (expected * 0.75).sqrt() + 6.0,
-            "kept {kept}, expected ≈{expected}"
-        );
-    }
-
-    #[test]
-    fn thinned_zero_keeps_nothing_and_one_keeps_all() {
-        let trace =
-            generate_stream(WorkloadPattern::Constant, 200.0, 5.0, &mix2(), &mut SimRng::new(2));
-        let none =
-            collect_source(&mut ThinnedSource::new(SliceSource::new(&trace), 0.0, SimRng::new(1)));
-        assert!(none.is_empty());
-        let all =
-            collect_source(&mut ThinnedSource::new(SliceSource::new(&trace), 1.0, SimRng::new(1)));
-        assert_eq!(all, trace);
-    }
 }
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::collect_source;
     use super::*;
     use crate::generate_stream;
     use proptest::prelude::*;

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use mlp_model::requests::RequestCatalog;
     pub use mlp_model::VolatilityClass;
     pub use mlp_workload::patterns::WorkloadPattern;
-    pub use mlp_workload::{ArrivalSource, OpenLoopSource, SliceSource, ThinnedSource};
+    pub use mlp_workload::{ArrivalSource, OpenLoopSource, SliceSource};
 
     // Robustness extensions.
     pub use mlp_faults::FaultConfig;

@@ -3,27 +3,13 @@
 //! breaking resource accounting.
 
 use std::collections::HashMap;
-use v_mlp::engine::profiling::warm_profiles;
-use v_mlp::engine::sim::simulate;
 use v_mlp::prelude::*;
-use v_mlp::sim::{SimRng, SimTime};
+use v_mlp::sim::SimTime;
 use v_mlp::trace::RequestId;
-use v_mlp::workload::{generate_stream, SliceSource};
 
 fn run_raw(scheme: &str, seed: u64) -> (v_mlp::engine::sim::SimOutput, RequestCatalog) {
     let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
-    let catalog = RequestCatalog::paper();
-    let root = SimRng::new(cfg.seed);
-    let mut arr_rng = root.fork(0);
-    let mut sim_rng = root.fork(1);
-    let mut warm_rng = root.fork(2);
-    let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
-    let mix = cfg.mix.resolve(&catalog);
-    let arrivals = generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut arr_rng);
-    let mut sched = default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-    let mut source = SliceSource::new(&arrivals);
-    let out = simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut sim_rng);
-    (out, catalog)
+    (Experiment::from_config(cfg).run_full().unwrap().1, RequestCatalog::paper())
 }
 
 #[test]
@@ -188,15 +174,7 @@ fn drain_wall_caps_run_length() {
         ..ExperimentConfig::paper_default("fullprofile")
     }
     .with_seed(37);
-    let catalog = RequestCatalog::paper();
-    let root = SimRng::new(cfg.seed);
-    let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut root.fork(2));
-    let mix = cfg.mix.resolve(&catalog);
-    let arrivals =
-        generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut root.fork(0));
-    let mut sched = default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-    let mut source = SliceSource::new(&arrivals);
-    let out = simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut root.fork(1));
+    let (_, out) = Experiment::from_config(cfg.clone()).run_full().unwrap();
     let wall = SimTime::from_secs_f64(cfg.horizon_s * cfg.drain_factor);
     for rec in out.collector.requests() {
         assert!(rec.end <= wall, "request finished after the drain wall");

@@ -8,12 +8,9 @@
 //! horizon), not with how long the simulation has been running — otherwise
 //! ledger queries and memory would grow without bound on long runs.
 
-use v_mlp::engine::profiling::warm_profiles;
-use v_mlp::engine::sim::simulate;
 use v_mlp::prelude::*;
-use v_mlp::sim::SimRng;
 use v_mlp::trace::metrics::names;
-use v_mlp::workload::{generate_stream, SliceSource, WorkloadPattern};
+use v_mlp::workload::WorkloadPattern;
 
 /// Runs v-MLP under a constant offered load for `horizon_s` simulated
 /// seconds and returns (timeline high-water mark, final per-tick total).
@@ -21,17 +18,7 @@ fn run_constant_load(horizon_s: f64) -> (f64, f64) {
     let mut cfg = ExperimentConfig::smoke("vmlp").with_seed(7);
     cfg.pattern = WorkloadPattern::Constant;
     cfg.horizon_s = horizon_s;
-    let catalog = RequestCatalog::paper();
-    let root = SimRng::new(cfg.seed);
-    let mut arr_rng = root.fork(0);
-    let mut sim_rng = root.fork(1);
-    let mut warm_rng = root.fork(2);
-    let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
-    let mix = cfg.mix.resolve(&catalog);
-    let arrivals = generate_stream(cfg.pattern, cfg.max_rate, cfg.horizon_s, &mix, &mut arr_rng);
-    let mut sched = default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-    let mut source = SliceSource::new(&arrivals);
-    let out = simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut sim_rng);
+    let (_, out) = Experiment::from_config(cfg.clone()).run_full().unwrap();
 
     let max = out
         .metrics

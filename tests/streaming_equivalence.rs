@@ -35,8 +35,8 @@ proptest! {
     // seeds per scheme is plenty on top of the fixed-seed suites.
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// SliceSource replay through the `Experiment` builder is byte-identical
-    /// to the raw dense-trace pipeline, for every scheme and any seed.
+    /// The `Experiment` builder's lazy arrival source is byte-identical to
+    /// the raw dense-trace pipeline, for every scheme and any seed.
     #[test]
     fn slice_replay_matches_raw_pipeline_across_schemes(seed in 0u64..10_000) {
         for scheme in SCHEMES {

@@ -83,31 +83,9 @@ fn run_enriches_profiles_with_contended_cases() {
     // the feedback loop of Fig 8.
     let cfg = ExperimentConfig::smoke("cursched").with_seed(12);
     let catalog = RequestCatalog::paper();
-    let root = SimRng::new(cfg.seed);
-    let mut warm_rng = root.fork(2);
-    let warm = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
+    let warm = warm_profiles(&catalog, cfg.warmup_cases, &mut SimRng::new(cfg.seed).fork(2));
     let warm_count = warm.case_count(v_mlp::model::benchmarks::sn::NGINX);
-
-    let mut arr_rng = root.fork(0);
-    let mut sim_rng = root.fork(1);
-    let mix = cfg.mix.resolve(&catalog);
-    let arrivals = v_mlp::workload::generate_stream(
-        cfg.pattern,
-        cfg.max_rate,
-        cfg.horizon_s,
-        &mix,
-        &mut arr_rng,
-    );
-    let mut sched = default_registry().build(&cfg.scheme, cfg.seed).unwrap();
-    let mut source = v_mlp::workload::SliceSource::new(&arrivals);
-    let out = v_mlp::engine::sim::simulate(
-        &cfg,
-        &catalog,
-        warm,
-        &mut source,
-        sched.as_mut(),
-        &mut sim_rng,
-    );
+    let (_, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
     let after = out.profiles.case_count(v_mlp::model::benchmarks::sn::NGINX);
     assert!(after > warm_count, "run should append execution cases: {after} vs {warm_count}");
 }
