@@ -3,7 +3,6 @@
 use crate::ledger::ResourceLedger;
 use crate::shard::{ShardId, ShardMap, ShardPolicy};
 use mlp_model::{ResourceKind, ResourceVector};
-use mlp_sim::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -384,13 +383,6 @@ impl Cluster {
         self.machines.iter().map(Machine::utilization).sum::<f64>() / self.machines.len() as f64
     }
 
-    /// Compacts every machine's ledger below `t`.
-    pub fn prune_ledgers_before(&mut self, t: SimTime) {
-        for m in &mut self.machines {
-            m.ledger.prune_before(t);
-        }
-    }
-
     /// Id of the live machine with the lowest instantaneous utilization
     /// (CurSched's placement rule). Crashed machines are skipped.
     ///
@@ -410,6 +402,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlp_sim::SimTime;
 
     fn rv(c: f64, m: f64, i: f64) -> ResourceVector {
         ResourceVector::new(c, m, i)

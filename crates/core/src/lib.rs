@@ -21,13 +21,14 @@
 //! * [`scheduler`] — [`VMlpScheduler`], the composition of the above
 //!   behind the common [`mlp_sched::Scheduler`] trait. The
 //!   [`mlp_sched::SchedulerCtx`] it receives *is* the paper's "interface
-//!   layer": monitors ([`mlp_cluster::UsageMonitor`]), controllers
-//!   ([`mlp_cluster::ControllerTool`]), tracing ([`mlp_trace`]) and the
-//!   machine ledgers, abstracted away from the request handler above.
+//!   layer" (Section III-D): the machine ledgers and live grants that the
+//!   paper's monitors read and its controllers set
+//!   ([`mlp_cluster::Machine`]), and the execution-case profiles its
+//!   tracer feeds back ([`mlp_trace::ProfileStore`]), abstracted away from
+//!   the request handler above.
 //! * [`parallelism`] — the ILP/TLP/MLP/RLP taxonomy of Table I.
 
 pub mod healer;
-pub mod interface;
 pub mod organizer;
 pub mod parallelism;
 pub mod reorder;

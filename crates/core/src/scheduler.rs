@@ -6,7 +6,6 @@ use crate::healer::{
     remaining_ideal_ms, stretch_candidates, stretch_factor, stretch_is_useful, ActiveRequest,
     DelaySlotIndex, NodeState,
 };
-use crate::interface::InterfaceLayer;
 use crate::organizer::{DtPolicy, OrganizerPolicy};
 use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
@@ -87,7 +86,6 @@ pub struct VMlpScheduler {
     /// [`DelaySlotIndex`]). Maintained only when `cfg.delay_slot` is on.
     delay_slots: DelaySlotIndex,
     rr_cursor: usize,
-    interface: InterfaceLayer,
 }
 
 impl VMlpScheduler {
@@ -104,7 +102,6 @@ impl VMlpScheduler {
             active: FastHashMap::default(),
             delay_slots: DelaySlotIndex::default(),
             rr_cursor: 0,
-            interface: InterfaceLayer::new(),
         }
     }
 
@@ -116,11 +113,6 @@ impl VMlpScheduler {
     /// Number of admitted-but-unfinished requests (diagnostics).
     pub fn active_requests(&self) -> usize {
         self.active.len()
-    }
-
-    /// The run-time telemetry of the interface layer (Section III-D).
-    pub fn interface(&self) -> &InterfaceLayer {
-        &self.interface
     }
 
     fn admit(&mut self, req: RequestInfo, plan: RequestPlan, ctx: &SchedulerCtx<'_>) {
@@ -577,11 +569,6 @@ impl Scheduler for VMlpScheduler {
 
     fn on_span_complete(&mut self, span: &Span, ctx: &mut SchedulerCtx<'_>) -> Vec<HealingAction> {
         let Some(ar) = self.active.get_mut(&span.request) else { return Vec::new() };
-        // Interface layer telemetry: usage approximated by the plan's
-        // grant scaled by the satisfaction the span actually ran with.
-        let grant = ar.plan.nodes[span.dag_node].grant;
-        self.interface.observe_span(span, grant * span.satisfaction, ctx.now);
-        let ar = self.active.get_mut(&span.request).expect("still present");
         ar.state[span.dag_node] = NodeState::Done;
         let np = ar.plan.nodes[span.dag_node];
         let finished_early = span.end < np.planned_end();

@@ -30,16 +30,6 @@ pub fn run_all(configs: &[ExperimentConfig], workers: usize) -> Vec<ExperimentRe
     ShardPool::new(workers).scatter(jobs)
 }
 
-/// Convenience: run one scheme-per-config comparison and pair each result
-/// with its registry-derived display name (e.g. `v-MLP[healing=off]` for
-/// an ablated spec, not the old opaque `v-MLP*`).
-pub fn run_labeled(
-    configs: &[ExperimentConfig],
-    workers: usize,
-) -> Vec<(String, ExperimentResult)> {
-    run_all(configs, workers).into_iter().map(|r| (r.config.scheme.display_name(), r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,8 +54,8 @@ mod tests {
     fn results_preserve_input_order() {
         let configs: Vec<ExperimentConfig> =
             PAPER_SCHEMES.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
-        let labeled = run_labeled(&configs, 0);
-        let labels: Vec<&str> = labeled.iter().map(|(l, _)| l.as_str()).collect();
+        let labels: Vec<String> =
+            run_all(&configs, 0).iter().map(|r| r.config.scheme.display_name()).collect();
         assert_eq!(labels, PAPER_SCHEMES);
     }
 

@@ -72,14 +72,13 @@ impl<'c, D: Driver> Sim<'c, D> {
             }
         }
         // Per-machine checks (occupancy conservation + ledger consistency
-        // rebuild) are independent, so a sharded cluster fans them out
-        // over the worker pool; results are re-sorted by machine id before
-        // merging, making the violation list byte-identical to the
-        // sequential ascending-id walk at any worker count.
-        if self.cluster.shard_count() > 1 {
-            let used_ref = &used;
-            let jobs: Vec<_> = self
-                .cluster
+        // rebuild) are independent, so they fan out one job per shard over
+        // the worker pool (one shard runs inline); results are re-sorted
+        // by machine id before merging, making the violation list the
+        // ascending-id walk at any worker count.
+        let used_ref = &used;
+        let jobs: Vec<_> =
+            self.cluster
                 .machines_by_shard_mut()
                 .into_iter()
                 .map(|machines| {
@@ -91,16 +90,11 @@ impl<'c, D: Driver> Sim<'c, D> {
                     }
                 })
                 .collect();
-            let mut per_machine: Vec<(u32, Vec<String>)> =
-                self.pool.scatter(jobs).into_iter().flatten().collect();
-            per_machine.sort_by_key(|(id, _)| *id);
-            for (_, v) in per_machine {
-                violations.extend(v);
-            }
-        } else {
-            for m in self.cluster.machines() {
-                violations.extend(machine_checks(m, &used));
-            }
+        let mut per_machine: Vec<(u32, Vec<String>)> =
+            self.pool.scatter(jobs).into_iter().flatten().collect();
+        per_machine.sort_by_key(|(id, _)| *id);
+        for (_, v) in per_machine {
+            violations.extend(v);
         }
         // Shard-partition consistency: the shard map must remain a strict
         // partition of the cluster (every machine in exactly one shard,

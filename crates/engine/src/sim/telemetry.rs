@@ -1,6 +1,6 @@
 //! Sampling-tick bookkeeping: utilization series, reservation-ledger
 //! pruning, and the gauges long runs assert on (retained ledger
-//! breakpoints, per-shard load, request-table occupancy).
+//! breakpoints, per-shard peak load, request-table occupancy).
 
 use super::*;
 use mlp_sched::pressure_signal;
@@ -25,52 +25,33 @@ impl<'c, D: Driver> Sim<'c, D> {
         // auditor cross-checks that a tighter window never breaks
         // reservation consistency.
         //
-        // Pruning (and the timeline-length survey that follows) is
-        // per-machine-independent, so on a sharded cluster it fans out
-        // over the worker pool; lengths come back per shard and the gauge
-        // publication below walks them in shard-index order. Each gauge
-        // name is machine-unique, so the published state is identical to
-        // the sequential walk at any worker count.
+        // Pruning is per-machine-independent, so it fans out one job per
+        // shard over the worker pool (one shard runs inline). Each job
+        // reports its shard's retained-breakpoint total and largest
+        // timeline; both fold order-independently, so the gauges are the
+        // same at any worker count. Long runs assert on the cluster max
+        // (a high-water mark across ticks) and the per-tick total to
+        // prove retained breakpoints stay bounded.
         let cutoff = now.saturating_sub(self.ledger_retention);
-        let mut total = 0usize;
-        let mut largest = 0usize;
-        if self.cluster.shard_count() > 1 {
-            let jobs: Vec<_> = self
-                .cluster
-                .machines_by_shard_mut()
-                .into_iter()
-                .map(|mut machines| {
-                    move |_s: usize| {
-                        machines
-                            .iter_mut()
-                            .map(|m| {
-                                m.ledger.prune_before(cutoff);
-                                (m.id.0, m.ledger.timeline_len())
-                            })
-                            .collect::<Vec<(u32, usize)>>()
-                    }
-                })
-                .collect();
-            for lens in self.pool.scatter(jobs) {
-                for (machine, len) in lens {
-                    total += len;
-                    largest = largest.max(len);
-                    self.metrics.set_gauge(&names::ledger_timeline(machine), len as f64);
+        let jobs: Vec<_> = self
+            .cluster
+            .machines_by_shard_mut()
+            .into_iter()
+            .map(|mut machines| {
+                move |_s: usize| {
+                    machines.iter_mut().fold((0usize, 0usize), |(total, largest), m| {
+                        m.ledger.prune_before(cutoff);
+                        let len = m.ledger.timeline_len();
+                        (total + len, largest.max(len))
+                    })
                 }
-            }
-        } else {
-            self.cluster.prune_ledgers_before(cutoff);
-            // Publish how much timeline pruning left behind: the
-            // per-machine gauges plus a cluster max (a high-water mark
-            // across ticks) and per-tick total. Long runs assert on these
-            // to prove retained breakpoints stay bounded.
-            for m in self.cluster.machines() {
-                let len = m.ledger.timeline_len();
-                total += len;
-                largest = largest.max(len);
-                self.metrics.set_gauge(&names::ledger_timeline(m.id.0), len as f64);
-            }
-        }
+            })
+            .collect();
+        let (total, largest) = self
+            .pool
+            .scatter(jobs)
+            .into_iter()
+            .fold((0, 0), |(total, largest), (t, l)| (total + t, largest.max(l)));
         let max_seen =
             self.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap_or(0.0).max(largest as f64);
         self.metrics.set_gauge(names::LEDGER_TIMELINE_MAX, max_seen);
@@ -78,20 +59,15 @@ impl<'c, D: Driver> Sim<'c, D> {
         // Request-table occupancy: the soak benchmark asserts the peak
         // plateaus (memory tracks the in-flight window, not arrivals).
         self.metrics.set_gauge(names::REQUEST_TABLE_PEAK, self.table.peak() as f64);
-        // Per-shard gauges, only when actually sharded: scale runs watch
-        // whether load (and retained timeline) stays balanced across
+        // Per-shard utilization high-water marks, only when actually
+        // sharded: scale runs watch whether load stays balanced across
         // shards or piles up in a few.
         if self.cluster.shard_count() > 1 {
             for s in 0..self.cluster.shard_count() as u32 {
-                let shard = mlp_cluster::ShardId(s);
-                let util = self.cluster.shard_utilization(shard);
-                self.metrics.set_gauge(&names::shard_utilization(s), util);
+                let util = self.cluster.shard_utilization(mlp_cluster::ShardId(s));
                 let peak_name = names::shard_utilization_peak(s);
                 let peak = self.metrics.gauge(&peak_name).unwrap_or(0.0).max(util);
                 self.metrics.set_gauge(&peak_name, peak);
-                let timeline: usize =
-                    self.cluster.shard_machines(shard).map(|m| m.ledger.timeline_len()).sum();
-                self.metrics.set_gauge(&names::shard_ledger_timeline(s), timeline as f64);
             }
         }
         self.overload_tick(now, waiting);

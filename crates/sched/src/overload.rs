@@ -21,7 +21,7 @@ use mlp_sim::{SimRng, SimTime};
 use mlp_trace::RequestId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Micro-token scale for the retry budget: integer units make the
 /// conservation identity (`available + consumed == capacity + refilled`)
@@ -719,8 +719,9 @@ pub struct OverloadRuntime {
     pub shed_breaker: u64,
     /// Optional DAG branches skipped under brownout tier ≥ 2.
     pub branch_sheds: u64,
-    /// Admission log for auditor check (a).
-    pub admission_log: Vec<AdmissionRecord>,
+    /// Admission log for auditor check (a): the newest
+    /// `ADMISSION_LOG_CAPACITY` admits, oldest first.
+    pub admission_log: VecDeque<AdmissionRecord>,
     /// Admission records dropped once the log hit its cap.
     pub admission_log_dropped: u64,
 }
@@ -741,7 +742,7 @@ impl OverloadRuntime {
             shed_infeasible: 0,
             shed_breaker: 0,
             branch_sheds: 0,
-            admission_log: Vec::new(),
+            admission_log: VecDeque::new(),
             admission_log_dropped: 0,
         }
     }
@@ -789,10 +790,16 @@ impl OverloadRuntime {
         }
         self.admitted += 1;
         if self.admission_log.len() >= ADMISSION_LOG_CAPACITY {
-            self.admission_log.remove(0);
+            self.admission_log.pop_front();
             self.admission_log_dropped += 1;
         }
-        self.admission_log.push(AdmissionRecord { request, rtype, at: now, ideal_cp_ms, deadline });
+        self.admission_log.push_back(AdmissionRecord {
+            request,
+            rtype,
+            at: now,
+            ideal_cp_ms,
+            deadline,
+        });
         AdmissionVerdict::Admit { slack_ms: remaining_ms - needed_ms }
     }
 
@@ -827,11 +834,6 @@ impl OverloadRuntime {
         let breaker_moves = self.breakers.tick(now);
         let tier_move = self.brownout.on_tick(pressure);
         (tier_move, breaker_moves)
-    }
-
-    /// Total requests shed at the admission gate.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_queue + self.shed_infeasible + self.shed_breaker
     }
 
     /// Whether tier ≥ 1 currently suppresses stretch healing.
@@ -1036,7 +1038,7 @@ mod tests {
         let v = gate(&mut rt, 4, ms(50), 0, 20.0, ms(200));
         assert_eq!(v, AdmissionVerdict::RejectBreaker { service: ServiceId(1) });
         assert_eq!(rt.admitted, 1);
-        assert_eq!(rt.shed_total(), 3);
+        assert_eq!(rt.shed_queue + rt.shed_infeasible + rt.shed_breaker, 3);
         assert_eq!(rt.admission_log.len(), 1, "only admits are logged");
     }
 
@@ -1098,5 +1100,10 @@ mod tests {
         }
         assert_eq!(rt.admission_log.len(), ADMISSION_LOG_CAPACITY);
         assert_eq!(rt.admission_log_dropped, 10);
+        // The oldest records went first: what remains is the newest
+        // `ADMISSION_LOG_CAPACITY` admits, in admission order.
+        let ids: Vec<u64> = rt.admission_log.iter().map(|r| r.request.0).collect();
+        let newest: Vec<u64> = (10..ADMISSION_LOG_CAPACITY as u64 + 10).collect();
+        assert_eq!(ids, newest);
     }
 }

@@ -113,10 +113,6 @@ pub struct SearchSched {
     queue: Vec<RequestInfo>,
     rr_cursor: usize,
     rng: SimRng,
-    /// Plans improved by the VNS refinement (diagnostics).
-    improved: u64,
-    /// Refinement moves evaluated (diagnostics).
-    moves: u64,
 }
 
 impl SearchSched {
@@ -133,19 +129,12 @@ impl SearchSched {
             queue: Vec::new(),
             rr_cursor: 0,
             rng: SimRng::new(seed).fork(SEARCH_RNG_STREAM),
-            improved: 0,
-            moves: 0,
         }
     }
 
     /// The active configuration.
     pub fn config(&self) -> SearchConfig {
         self.cfg
-    }
-
-    /// `(plans improved, moves evaluated)` since construction.
-    pub fn search_stats(&self) -> (u64, u64) {
-        (self.improved, self.moves)
     }
 
     /// Rebuilds a complete schedule for `req` with every node pinned to
@@ -259,7 +248,6 @@ impl SearchSched {
                 let offset = self.rng.gen_range(0..window);
                 assignment[node] = MachineId(((base + offset) % n_machines) as u32);
             }
-            self.moves += 1;
 
             unreserve_plan(&best, ctx);
             let candidate = self.plan_pinned(req, &assignment, &budgets, &grants, ctx);
@@ -269,7 +257,6 @@ impl SearchSched {
                         Decision::new(ctx.now, DecisionKind::PlacementRefine, "search-improved")
                             .request(req.id),
                     );
-                    self.improved += 1;
                     best_cost = plan_cost(&cand);
                     best = cand;
                     k = 1;

@@ -1,6 +1,6 @@
 //! # mlp-stats — statistics substrate for the v-MLP reproduction
 //!
-//! Streaming summaries, histograms, empirical CDFs, random-variate
+//! Streaming summaries and quantiles, empirical CDFs, random-variate
 //! distributions, and fixed-step time series. Every evaluation figure in the
 //! paper (CDFs in Figs 2/3c, percentile plots in Figs 12/13, utilization
 //! curves in Figs 3b/11) is computed through this crate.
@@ -10,7 +10,6 @@
 
 pub mod cdf;
 pub mod dist;
-pub mod histogram;
 pub mod quantile;
 pub mod ranked;
 pub mod summary;
@@ -18,7 +17,6 @@ pub mod timeseries;
 
 pub use cdf::Cdf;
 pub use dist::{Dist, Distribution};
-pub use histogram::LogHistogram;
 pub use quantile::P2Quantile;
 pub use ranked::RankedSamples;
 pub use summary::Summary;

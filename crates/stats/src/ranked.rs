@@ -41,23 +41,6 @@ impl RankedSamples {
         Self::default()
     }
 
-    /// Builds the index from an unsorted slice in `O(n log n)`.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let len = sorted.len();
-        let mut buckets = Vec::with_capacity(len / B + 1);
-        let mut it = sorted.into_iter();
-        loop {
-            let chunk: Vec<f64> = it.by_ref().take(B).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            buckets.push(chunk);
-        }
-        RankedSamples { buckets, len }
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }
@@ -145,6 +128,12 @@ mod tests {
     use super::*;
     use crate::Cdf;
 
+    fn ranked(samples: &[f64]) -> RankedSamples {
+        let mut r = RankedSamples::new();
+        samples.iter().for_each(|&x| r.insert(x));
+        r
+    }
+
     /// The reference answer: full sort by `total_cmp`, index `k`.
     fn reference_select(samples: &[f64], k: usize) -> Option<f64> {
         let mut s = samples.to_vec();
@@ -182,7 +171,7 @@ mod tests {
         // total_cmp puts -0.0 before +0.0; the index must preserve that
         // so duplicates resolve to the same bits as the full sort.
         let samples = [0.0, -0.0, 0.0, -0.0];
-        let r = RankedSamples::from_samples(&samples);
+        let r = ranked(&samples);
         assert_eq!(r.select(0).unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.select(1).unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.select(2).unwrap().to_bits(), 0.0f64.to_bits());
@@ -204,7 +193,7 @@ mod tests {
 
     #[test]
     fn remove_one_removes_exactly_one_duplicate() {
-        let mut r = RankedSamples::from_samples(&[2.0, 2.0, 2.0, 1.0]);
+        let mut r = ranked(&[2.0, 2.0, 2.0, 1.0]);
         assert!(r.remove_one(2.0));
         assert_eq!(r.len(), 3);
         assert_eq!(r.select(1), Some(2.0));
@@ -240,7 +229,7 @@ mod tests {
         // the truncated prefix — reproduce it via select() and compare
         // bits on an awkward sample set (duplicates, negatives, zeros).
         let samples: Vec<f64> = (0..1000).map(|i| ((i * 37) % 100) as f64 / 7.0 - 5.0).collect();
-        let r = RankedSamples::from_samples(&samples);
+        let r = ranked(&samples);
         for &(x_percent, q) in &[(100.0, 0.5), (95.0, 0.99), (37.5, 0.9), (1.0, 0.5), (0.0, 0.99)] {
             let mut cdf = Cdf::from_samples(samples.clone());
             let mut truncated = cdf.truncate_fastest(x_percent);

@@ -263,15 +263,6 @@ impl TraceCollector {
         self.latency_cdf(class).percentile(p)
     }
 
-    /// Per-service execution-time summaries (ms) across all spans.
-    pub fn service_exec_summaries(&self) -> HashMap<mlp_model::ServiceId, Summary> {
-        let mut map: HashMap<mlp_model::ServiceId, Summary> = HashMap::new();
-        for s in &self.spans {
-            map.entry(s.service).or_default().record(s.duration().as_millis_f64());
-        }
-        map
-    }
-
     /// Fraction of spans that started later than planned, and their mean
     /// lateness (ms) — how disturbed the schedule was.
     pub fn lateness_stats(&self) -> (f64, f64) {
@@ -670,18 +661,6 @@ mod tests {
         assert!((frac - 1.0 / 3.0).abs() < 1e-12);
         assert!((mean - 5.0).abs() < 1e-12);
         assert!((c.capped_fraction() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn service_summaries_group_by_template() {
-        let mut c = TraceCollector::new();
-        c.record_span(span(1, 0, 10, 0, 1.0));
-        c.record_span(span(1, 0, 20, 0, 1.0));
-        c.record_span(span(2, 0, 40, 0, 1.0));
-        let sums = c.service_exec_summaries();
-        assert_eq!(sums[&ServiceId(1)].count(), 2);
-        assert_eq!(sums[&ServiceId(1)].mean(), 15.0);
-        assert_eq!(sums[&ServiceId(2)].mean(), 40.0);
     }
 
     #[test]

@@ -82,10 +82,6 @@ impl MetricsRegistry {
 
 /// Well-known metric names published by the v-MLP engine.
 pub mod names {
-    /// Requests that entered the waiting queue.
-    pub const REQUESTS_ARRIVED: &str = "requests_arrived";
-    /// Requests fully completed.
-    pub const REQUESTS_COMPLETED: &str = "requests_completed";
     /// Delay-slot candidates promoted into stalls (self-healing).
     pub const DELAY_SLOT_FILLS: &str = "delay_slot_fills";
     /// Resource-stretch actions taken (self-healing).
@@ -150,27 +146,11 @@ pub mod names {
     /// Gauge: retries granted by the global budget over the run.
     pub const OVERLOAD_RETRIES_GRANTED: &str = "overload_retries_granted";
 
-    /// Gauge name for one machine's retained ledger timeline length.
-    pub fn ledger_timeline(machine: u32) -> String {
-        format!("ledger_timeline_m{machine}")
-    }
-
-    /// Gauge name for one shard's mean instantaneous utilization.
-    pub fn shard_utilization(shard: u32) -> String {
-        format!("shard_utilization_s{shard}")
-    }
-
     /// Gauge name for one shard's peak sampled utilization — a high-water
     /// mark across ticks, so it survives the end-of-run drain (the last
     /// instantaneous sample is always ≈0).
     pub fn shard_utilization_peak(shard: u32) -> String {
         format!("shard_utilization_peak_s{shard}")
-    }
-
-    /// Gauge name for one shard's retained ledger breakpoints (sum over
-    /// its member machines).
-    pub fn shard_ledger_timeline(shard: u32) -> String {
-        format!("shard_ledger_timeline_s{shard}")
     }
 }
 

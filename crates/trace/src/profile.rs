@@ -46,10 +46,6 @@ impl CaseWindow {
         self.buf.len() - self.start
     }
 
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn push(&mut self, case: ExecutionCase) {
         self.buf.push(case);
     }
@@ -80,18 +76,21 @@ impl Deserialize for CaseWindow {
 }
 
 /// Per-service history of execution cases with cached aggregates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Serialises as its retained cases alone; deserialising replays them
+/// through [`ServiceHistory::record`], so every aggregate below is in
+/// lockstep with `cases` from construction on.
+#[derive(Debug, Clone, Default, Serialize)]
 struct ServiceHistory {
     cases: CaseWindow,
+    /// Lifetime summaries (they outlive eviction); a reloaded history's
+    /// lifetime starts at its retained window.
     #[serde(skip)]
     exec_summary: Summary,
     #[serde(skip)]
     usage_summary: [Summary; 3],
     /// Always-sorted index over `cases[i].exec_ms`, kept in lockstep with
     /// `cases` so banded-Δt queries are order-statistic lookups instead of
-    /// full re-sorts. Skipped by serde (like the summaries) and rebuilt on
-    /// the first mutation after deserialization; until then `ranked.len()
-    /// != cases.len()` flags it stale and queries take the sort path.
+    /// full re-sorts.
     #[serde(skip)]
     ranked: RankedSamples,
     /// Bumped on every mutation of `cases`; versions the Δt memo.
@@ -105,33 +104,34 @@ impl ServiceHistory {
         self.usage_summary[0].record(case.usage.cpu);
         self.usage_summary[1].record(case.usage.mem);
         self.usage_summary[2].record(case.usage.io);
-        if self.ranked.len() != self.cases.len() {
-            self.rebuild_ranked();
-        }
         self.ranked.insert(case.exec_ms);
         self.cases.push(case);
         self.version += 1;
     }
 
     /// Drops the `overflow` oldest cases, keeping the ranked index in
-    /// lockstep (or rebuilding it if it was stale).
+    /// lockstep.
     fn evict(&mut self, overflow: usize) {
-        let in_sync = self.ranked.len() == self.cases.len();
         let ranked = &mut self.ranked;
         self.cases.evict(overflow, |c| {
-            if in_sync {
-                ranked.remove_one(c.exec_ms);
-            }
+            ranked.remove_one(c.exec_ms);
         });
-        if !in_sync {
-            self.rebuild_ranked();
-        }
         self.version += 1;
     }
+}
 
-    fn rebuild_ranked(&mut self) {
-        let samples: Vec<f64> = self.cases.live().iter().map(|c| c.exec_ms).collect();
-        self.ranked = RankedSamples::from_samples(&samples);
+impl Deserialize for ServiceHistory {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let cases = match v.get("cases") {
+            Some(x) => CaseWindow::from_value(x),
+            None => CaseWindow::absent("cases"),
+        }
+        .map_err(|e| e.in_context("ServiceHistory.cases"))?;
+        let mut h = ServiceHistory::default();
+        for &case in cases.live() {
+            h.record(case);
+        }
+        Ok(h)
     }
 }
 
@@ -225,11 +225,7 @@ impl ProfileStore {
     /// Mean observed execution time (ms); `None` with no history.
     pub fn mean_exec_ms(&self, service: ServiceId) -> Option<f64> {
         let h = self.histories.get(&service.0)?;
-        if h.exec_summary.count() == 0 {
-            // Rebuilt after deserialization: summaries are skipped.
-            return self.rebuild_exec_summary(service).map(|s| s.mean());
-        }
-        Some(h.exec_summary.mean())
+        (h.exec_summary.count() > 0).then(|| h.exec_summary.mean())
     }
 
     /// Mean observed resource usage; zero vector with no history.
@@ -240,27 +236,8 @@ impl ProfileStore {
                 h.usage_summary[1].mean(),
                 h.usage_summary[2].mean(),
             ),
-            Some(h) if !h.cases.is_empty() => {
-                let mut v = ResourceVector::ZERO;
-                for c in h.cases.live() {
-                    v += c.usage;
-                }
-                v * (1.0 / h.cases.len() as f64)
-            }
             _ => ResourceVector::ZERO,
         }
-    }
-
-    fn rebuild_exec_summary(&self, service: ServiceId) -> Option<Summary> {
-        let h = self.histories.get(&service.0)?;
-        if h.cases.is_empty() {
-            return None;
-        }
-        let mut s = Summary::new();
-        for c in h.cases.live() {
-            s.record(c.exec_ms);
-        }
-        Some(s)
     }
 
     /// Execution-time CDF of the retained cases; empty CDF with no history.
@@ -280,14 +257,13 @@ impl ProfileStore {
     ///
     /// Falls back to `fallback_ms` when no history exists (cold start).
     ///
-    /// Answered from the per-service ranked index when it is in sync: the
-    /// truncate-then-quantile composition is `sorted[idx]` with
-    /// `keep = ⌈x/100·n⌉` (clamped to `1..=n`) and
-    /// `idx = min(max(⌈q·keep⌉, 1) − 1, keep − 1)` — exactly the
-    /// [`Cdf::truncate_fastest`]/[`Cdf::quantile`] arithmetic — so the
-    /// fast path returns bit-identical values to the sort path (proven in
-    /// tests). Results are memoized per `(service, x, q)` keyed on the
-    /// history version.
+    /// Answered from the per-service ranked index: the truncate-then-quantile
+    /// composition is `sorted[idx]` with `keep = ⌈x/100·n⌉` (clamped to
+    /// `1..=n`) and `idx = min(max(⌈q·keep⌉, 1) − 1, keep − 1)` — exactly
+    /// the [`Cdf::truncate_fastest`]/[`Cdf::quantile`] arithmetic — so it
+    /// returns bit-identical values to the sort path (proven in tests).
+    /// Results are memoized per `(service, x, q)` keyed on the history
+    /// version.
     pub fn delta_t_ms(&self, service: ServiceId, x_percent: f64, q: f64, fallback_ms: f64) -> f64 {
         let Some(h) = self.histories.get(&service.0) else { return fallback_ms };
         let n = h.cases.len();
@@ -302,15 +278,9 @@ impl ProfileStore {
                 }
             }
         }
-        let value = if h.ranked.len() == n {
-            let keep = (((x_percent / 100.0) * n as f64).ceil() as usize).clamp(1.min(n), n);
-            let idx = (((q * keep as f64).ceil() as usize).max(1) - 1).min(keep - 1);
-            h.ranked.select(idx).unwrap_or(fallback_ms)
-        } else {
-            // Freshly deserialized: the index is stale until the next
-            // mutation rebuilds it. Take the sort path (still memoized).
-            self.delta_t_ms_unindexed(service, x_percent, q, fallback_ms)
-        };
+        let keep = (((x_percent / 100.0) * n as f64).ceil() as usize).clamp(1, n);
+        let idx = (((q * keep as f64).ceil() as usize).max(1) - 1).min(keep - 1);
+        let value = h.ranked.select(idx).unwrap_or(fallback_ms);
         if let Ok(mut memo) = self.memo.lock() {
             memo.insert(key, (h.version, value));
         }
@@ -318,9 +288,8 @@ impl ProfileStore {
     }
 
     /// The historical sort-based Δt computation (builds and truncates a
-    /// fresh [`Cdf`] per call). Kept as the reference implementation the
-    /// indexed path must match bit-for-bit, and as the fallback while the
-    /// index is stale after deserialization.
+    /// fresh [`Cdf`] per call): the reference implementation the indexed
+    /// [`delta_t_ms`](ProfileStore::delta_t_ms) must match bit-for-bit.
     pub fn delta_t_ms_unindexed(
         &self,
         service: ServiceId,
@@ -344,15 +313,10 @@ impl ProfileStore {
     }
 
     /// Smallest retained execution time (the `Δt₀` of the reorder ratio).
-    /// `O(1)` off the ranked index when in sync (same `total_cmp` order,
-    /// so the returned bits match the scan).
+    /// `O(1)` off the ranked index (same `total_cmp` order, so the returned
+    /// bits match a scan of the cases).
     pub fn min_exec_ms(&self, service: ServiceId) -> Option<f64> {
-        if let Some(h) = self.histories.get(&service.0) {
-            if h.ranked.len() == h.cases.len() {
-                return h.ranked.min();
-            }
-        }
-        self.cases(service).iter().map(|c| c.exec_ms).min_by(|a, b| a.total_cmp(b))
+        self.histories.get(&service.0)?.ranked.min()
     }
 
     /// The profile-history version of `service`: bumped on every recorded
@@ -501,10 +465,9 @@ mod tests {
         }
         let js = serde_json::to_string(&p).unwrap();
         let mut q: ProfileStore = serde_json::from_str(&js).unwrap();
-        // Stale index: queries take the sort path but stay exact.
         assert_eq!(q.delta_t_ms(S, 100.0, 0.5, 0.0), p.delta_t_ms(S, 100.0, 0.5, 0.0));
         assert_eq!(q.min_exec_ms(S), Some(3.0));
-        // First mutation rebuilds the index; answers stay in lockstep.
+        assert_ne!(q.version(S), 0, "a reloaded history is a history");
         q.record(S, case(1.0));
         p.record(S, case(1.0));
         assert_eq!(q.delta_t_ms(S, 80.0, 0.99, 0.0), p.delta_t_ms(S, 80.0, 0.99, 0.0));
@@ -543,9 +506,30 @@ mod tests {
         let js = serde_json::to_string(&p).unwrap();
         let q: ProfileStore = serde_json::from_str(&js).unwrap();
         assert_eq!(q.case_count(S), 2);
-        // Summaries are rebuilt lazily from cases after deserialization.
         assert_eq!(q.mean_exec_ms(S), Some(13.25));
         assert_eq!(q.mean_usage(S), ResourceVector::new(1.0, 100.0, 10.0));
+    }
+
+    #[test]
+    fn reloaded_summaries_keep_their_history_after_a_new_case() {
+        let usage = |i: u32| ResourceVector::new(1.0 + i as f64 / 100.0, 100.0, 10.0);
+        let mut p = ProfileStore::new();
+        for i in 0..100u32 {
+            p.record(
+                S,
+                ExecutionCase { usage: usage(i), machine_load: 0.5, exec_ms: 10.0 + i as f64 },
+            );
+        }
+        let js = serde_json::to_string(&p).unwrap();
+        let mut q: ProfileStore = serde_json::from_str(&js).unwrap();
+        let outlier = ExecutionCase { usage: usage(800), machine_load: 0.5, exec_ms: 1000.0 };
+        p.record(S, outlier);
+        q.record(S, outlier);
+        // 101 cases: (100 · 59.5 + 1000) / 101 ms, not the outlier alone.
+        let mean = q.mean_exec_ms(S).unwrap();
+        assert!((mean - 68.81).abs() < 0.01, "got {mean}");
+        assert_eq!(q.mean_exec_ms(S), p.mean_exec_ms(S));
+        assert_eq!(q.mean_usage(S), p.mean_usage(S));
     }
 }
 

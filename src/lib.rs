@@ -27,7 +27,7 @@
 //! surface is *advanced and unstable*; anything load-bearing should be
 //! promoted into the prelude instead. See the individual crates for
 //! details:
-//! - [`mlp_stats`] — statistics substrate (CDFs, histograms, distributions)
+//! - [`mlp_stats`] — statistics substrate (CDFs, quantiles, distributions)
 //! - [`mlp_sim`] — discrete-event simulation kernel
 //! - [`mlp_model`] — microservice DAG & benchmark models
 //! - [`mlp_cluster`] — machine/container substrate with resource ledger

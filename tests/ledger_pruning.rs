@@ -2,8 +2,8 @@
 //!
 //! Every sampling tick the engine prunes each machine's ledger to the
 //! trailing 2 s window and publishes the retained timeline lengths through
-//! `MetricsRegistry` (`ledger_timeline_m<i>` per machine, plus cluster-wide
-//! `ledger_timeline_max` high-water mark and `ledger_timeline_total`).
+//! `MetricsRegistry` (the cluster-wide `ledger_timeline_max` high-water
+//! mark and `ledger_timeline_total`).
 //! Retention must scale with the *active window* (2 s past + 10 s planning
 //! horizon), not with how long the simulation has been running — otherwise
 //! ledger queries and memory would grow without bound on long runs.
@@ -18,7 +18,7 @@ fn run_constant_load(horizon_s: f64) -> (f64, f64) {
     let mut cfg = ExperimentConfig::smoke("vmlp").with_seed(7);
     cfg.pattern = WorkloadPattern::Constant;
     cfg.horizon_s = horizon_s;
-    let (_, out) = Experiment::from_config(cfg.clone()).run_full().unwrap();
+    let (_, out) = Experiment::from_config(cfg).run_full().unwrap();
 
     let max = out
         .metrics
@@ -28,13 +28,6 @@ fn run_constant_load(horizon_s: f64) -> (f64, f64) {
         .metrics
         .gauge(names::LEDGER_TIMELINE_TOTAL)
         .expect("engine publishes the per-tick timeline total");
-    // Per-machine gauges exist for every machine.
-    for m in 0..cfg.machines as u32 {
-        assert!(
-            out.metrics.gauge(&names::ledger_timeline(m)).is_some(),
-            "missing per-machine timeline gauge for machine {m}"
-        );
-    }
     assert!(max >= 0.0 && total >= 0.0);
     (max, total)
 }

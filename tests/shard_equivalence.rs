@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use v_mlp::prelude::*;
+use v_mlp::trace::metrics::names;
 
 fn assert_results_identical(a: &ExperimentResult, b: &ExperimentResult, label: &str) {
     assert_eq!(a.arrived, b.arrived, "{label}: arrived");
@@ -80,6 +81,19 @@ fn sharded_runs_hold_invariants_under_both_policies() {
             );
             assert!(r.completed > 0, "{label}: nothing completed");
         }
+    }
+}
+
+#[test]
+fn sharded_runs_publish_per_shard_peak_utilization() {
+    // fig_scale reads one `shard_utilization_peak_s<i>` high-water mark per
+    // shard into BENCH_sim.json; every shard of a loaded run must carry one
+    // in (0, 1].
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4, ShardPolicy::RoundRobin);
+    let (_, out) = Experiment::from_config(cfg).run_full().unwrap();
+    for s in 0..4 {
+        let peak = out.metrics.gauge(&names::shard_utilization_peak(s));
+        assert!(peak.is_some_and(|p| p > 0.0 && p <= 1.0), "shard {s}: peak {peak:?}");
     }
 }
 
