@@ -1,15 +1,14 @@
 //! One admission-round "kernel tick" at growing shard counts: the unit of
 //! work `run_round` issues every sampling period, isolated from the event
 //! loop. Each iteration rebuilds a fresh v-MLP scheduler, queues 64
-//! arrivals, and runs one `schedule_parallel` round against a fleet of 16
-//! machines per shard (the `fig_scale` sharding regime). The cluster
-//! clone per iteration is part of the measured cost but is a flat memcpy,
-//! identical across the worker axis, so worker-to-worker deltas isolate
-//! the pool itself. `w1` is the inline path — literally the sequential
-//! code; `w2` adds the scatter/merge machinery.
+//! arrivals, and runs one `schedule` round against a fleet of 16 machines
+//! per shard (the `fig_scale` sharding regime): the sequential round at
+//! one shard, the sharded round (home-shard passes, then overflow) above.
+//! The cluster clone per iteration is part of the measured cost — a flat
+//! memcpy that grows with the fleet.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mlp_cluster::{Cluster, ShardPolicy, ShardPool};
+use mlp_cluster::{Cluster, ShardPolicy};
 use mlp_core::VMlpScheduler;
 use mlp_engine::profiling::warm_profiles;
 use mlp_model::{RequestCatalog, ResourceVector};
@@ -43,29 +42,26 @@ fn bench_kernel_tick(c: &mut Criterion) {
     for &shards in &[1usize, 16, 64] {
         let base = Cluster::homogeneous(shards * 16, ResourceVector::new(2.4, 2_500.0, 350.0))
             .with_shards(shards, ShardPolicy::RoundRobin);
-        for &workers in &[1usize, 2] {
-            let pool = ShardPool::new(workers);
-            let id = BenchmarkId::from_parameter(format!("s{shards}_w{workers}"));
-            g.bench_with_input(id, &shards, |b, _| {
-                b.iter(|| {
-                    let mut cluster = base.clone();
-                    let mut sched = VMlpScheduler::new();
-                    let mut ctx = SchedulerCtx {
-                        now: SimTime::from_secs(1),
-                        cluster: &mut cluster,
-                        profiles: &profiles,
-                        catalog: &catalog,
-                        net: &net,
-                        metrics: &metrics,
-                        audit: &audit,
-                    };
-                    for r in &reqs {
-                        sched.on_arrival(*r, &mut ctx);
-                    }
-                    black_box(sched.schedule_parallel(&mut ctx, &pool))
-                });
+        let id = BenchmarkId::from_parameter(format!("s{shards}"));
+        g.bench_with_input(id, &shards, |b, _| {
+            b.iter(|| {
+                let mut cluster = base.clone();
+                let mut sched = VMlpScheduler::new();
+                let mut ctx = SchedulerCtx {
+                    now: SimTime::from_secs(1),
+                    cluster: &mut cluster,
+                    profiles: &profiles,
+                    catalog: &catalog,
+                    net: &net,
+                    metrics: &metrics,
+                    audit: &audit,
+                };
+                for r in &reqs {
+                    sched.on_arrival(*r, &mut ctx);
+                }
+                black_box(sched.schedule(&mut ctx))
             });
-        }
+        });
     }
     g.finish();
 }

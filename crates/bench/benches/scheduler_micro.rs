@@ -170,8 +170,9 @@ fn bench_scheduling(c: &mut Criterion) {
                 metrics: &metrics,
                 audit: &audit,
             };
-            let plan = mlp_sched::placement::plan_request(&req, &policy, &mut cursor, &mut ctx)
-                .expect("placeable");
+            let plan =
+                mlp_sched::placement::plan_request(&req, &policy, true, &mut cursor, &mut ctx)
+                    .expect("placeable");
             mlp_sched::placement::unreserve_plan(&plan, &mut ctx);
         });
     });

@@ -323,57 +323,6 @@ impl Cluster {
         &mut self.machines
     }
 
-    /// Splits the fleet into per-shard sets of mutable machine references:
-    /// entry `s` holds shard `s`'s members in ascending machine id — the
-    /// same order [`shard_machines`](Cluster::shard_machines) scans. The
-    /// sets are disjoint (the shard map is a strict partition), so each
-    /// can be handed to a different shard worker for a tick's placement,
-    /// pruning, or audit work without any aliasing.
-    pub fn machines_by_shard_mut(&mut self) -> Vec<Vec<&mut Machine>> {
-        let mut out: Vec<Vec<&mut Machine>> = Vec::with_capacity(self.shards.len());
-        out.resize_with(self.shards.len(), Vec::new);
-        let shards = &self.shards;
-        for m in self.machines.iter_mut() {
-            out[shards.shard_of(m.id).0 as usize].push(m);
-        }
-        out
-    }
-
-    /// Like [`machines_by_shard_mut`](Cluster::machines_by_shard_mut) but
-    /// restricted to the shards flagged in `wanted` (indexed by shard),
-    /// returned as `(shard_index, members)` pairs in ascending shard
-    /// order. An admission round typically queues work for a handful of
-    /// shards; collecting references for all `K` of them every round is
-    /// O(machines) of allocation the round never uses. Members keep the
-    /// same ascending-machine-id order as the unfiltered accessor.
-    ///
-    /// Touches only the wanted shards' members: their ids, merged into
-    /// ascending order, split the machine slice one reference at a time,
-    /// so the cost follows the wanted shards, not the fleet.
-    pub fn machines_in_shards_mut(&mut self, wanted: &[bool]) -> Vec<(usize, Vec<&mut Machine>)> {
-        debug_assert_eq!(wanted.len(), self.shards.len());
-        // (machine id, slot in `out`) for every wanted member.
-        let mut picks: Vec<(usize, usize)> = Vec::new();
-        let mut out: Vec<(usize, Vec<&mut Machine>)> = Vec::new();
-        for (s, _) in wanted.iter().enumerate().filter(|&(_, &w)| w) {
-            let members = self.shards.members(ShardId(s as u32));
-            picks.extend(members.iter().map(|id| (id.0 as usize, out.len())));
-            out.push((s, Vec::with_capacity(members.len())));
-        }
-        picks.sort_unstable();
-        let mut rest: &mut [Machine] = &mut self.machines;
-        let mut next_id = 0;
-        for (id, slot) in picks {
-            let (m, tail) = std::mem::take(&mut rest)[id - next_id..]
-                .split_first_mut()
-                .expect("shard members are machine ids");
-            out[slot].1.push(m);
-            rest = tail;
-            next_id = id + 1;
-        }
-        out
-    }
-
     /// Cluster-wide utilization `U = Σ_nodes (u_cpu + u_mem + u_io) /
     /// (#resource_types · #nodes)` — the efficiency metric of Fig 11.
     pub fn utilization(&self) -> f64 {
@@ -585,30 +534,6 @@ mod tests {
         assert!((c.shard_utilization(ShardId(1)) - 0.5).abs() < 1e-12);
         assert_eq!(c.shard_utilization(ShardId(0)), 0.0);
         assert!(c.shards().check_partition(c.machines()).is_ok());
-    }
-
-    #[test]
-    fn wanted_shards_match_the_full_split() {
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityBalanced] {
-            let mut c = Cluster::two_tier(5, rv(8.0, 2000.0, 200.0), 8, rv(2.0, 500.0, 50.0))
-                .with_shards(4, policy);
-            let full: Vec<Vec<MachineId>> = c
-                .machines_by_shard_mut()
-                .iter()
-                .map(|ms| ms.iter().map(|m| m.id).collect())
-                .collect();
-            for mask in 0u32..16 {
-                let wanted: Vec<bool> = (0..4).map(|s| mask & (1 << s) != 0).collect();
-                let got: Vec<(usize, Vec<MachineId>)> = c
-                    .machines_in_shards_mut(&wanted)
-                    .into_iter()
-                    .map(|(s, ms)| (s, ms.iter().map(|m| m.id).collect()))
-                    .collect();
-                let expected: Vec<(usize, Vec<MachineId>)> =
-                    (0..4).filter(|&s| wanted[s]).map(|s| (s, full[s].clone())).collect();
-                assert_eq!(got, expected, "{policy:?} mask {mask:#06b}");
-            }
-        }
     }
 
     #[test]

@@ -1,33 +1,21 @@
-//! The shard worker pool: deterministic fan-out for per-shard tick work.
+//! A deterministic fan-out executor: the thread pool behind
+//! `mlp_engine::parallel::run_all`, which runs independent experiment
+//! configurations side by side. A simulation run itself starts no thread.
 //!
-//! Shards are the unit of isolation (home-shard placement, per-shard
-//! ledgers and gauges, the auditor's partition check), which makes the
-//! per-tick shard work — placement scans, ledger pruning, gauge
-//! collection, consistency audits — embarrassingly parallel *within* a
-//! tick. The pool runs one job per shard and returns results **in job
-//! index order**, so callers that buffer per-shard effects and apply them
-//! in shard-index order observe the same outcome at any worker count.
-//!
-//! Determinism contract: `scatter` only promises index-ordered results.
-//! Bit-reproducibility across worker counts therefore holds exactly when
-//! the jobs touch disjoint state (each job owns its shard's machines and
-//! buffers its side effects) — which is how every caller in this
-//! workspace uses it, and what `tests/shard_equivalence.rs` proves
-//! end-to-end.
+//! Determinism contract: [`ShardPool::scatter`] returns results **in job
+//! index order**, whatever order the jobs finish in, so a sweep's output
+//! does not depend on the worker count as long as its jobs touch disjoint
+//! state (each experiment carries its own seed and cluster).
 //!
 //! `workers == 1` is pure inline execution on the calling thread — no
-//! threads, no channels — so a single-worker run is not merely
-//! *equivalent* to the sequential code, it **is** the sequential code.
-//! For `workers > 1` scoped threads pull job indices from a shared counter
-//! and send `(index, result)` pairs over a channel; `mlp-engine`'s
-//! experiment sweeps fan out through the same pool. Scoped threads make
-//! borrowed job closures sound without `unsafe`: the scope joins every
-//! worker before `scatter` returns, so borrows of shard machine slices
-//! cannot outlive the call.
+//! threads, no channels. For `workers > 1` scoped threads pull job indices
+//! from a shared counter and send `(index, result)` pairs over a channel;
+//! scoped threads make borrowed job closures sound without `unsafe`, since
+//! the scope joins every worker before `scatter` returns.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A deterministic fan-out executor for per-shard jobs.
+/// A deterministic fan-out executor for independent jobs.
 #[derive(Debug, Clone)]
 pub struct ShardPool {
     workers: usize,
@@ -35,7 +23,7 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// A pool that runs up to `workers` jobs concurrently. `0` means "all
-    /// available cores"; `1` (the default everywhere) executes inline.
+    /// available cores"; `1` executes inline.
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -92,13 +80,6 @@ impl ShardPool {
             out[i] = Some(result);
         }
         out.into_iter().map(|r| r.expect("every job produces a result")).collect()
-    }
-}
-
-impl Default for ShardPool {
-    /// Inline execution (one worker).
-    fn default() -> Self {
-        ShardPool::new(1)
     }
 }
 

@@ -14,8 +14,9 @@
 //! (`ratio_order`: ratio descending, then arrival, then id). The global
 //! maximum is therefore always among the queue fronts, and popping the best
 //! front repeatedly replays the sorted order pop by pop. Restricting a
-//! total order to a partition (the per-shard split of the parallel pass)
-//! preserves it, so shard-local merges replay each shard's subsequence too.
+//! total order to a partition (the home shards of the sharded round)
+//! preserves it, so a merge over one shard's fronts replays that shard's
+//! subsequence too — [`ReorderIndex::pop_shard`] is the same merge, scoped.
 //!
 //! The one theoretical exception: the α-normalization `r / (1 + r)`
 //! compresses ratio gaps, and once `r` exceeds ~10⁷ (a request more than
@@ -44,6 +45,7 @@ use mlp_model::{RequestTypeId, ServiceId};
 use mlp_sched::{RequestInfo, SchedulerCtx};
 use mlp_sim::SimTime;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// One request type's waiting requests, `(arrival, id)`-ascending — and
 /// therefore ratio-descending for any fixed `now` (module docs).
@@ -53,41 +55,15 @@ struct TypeQueue {
     reqs: VecDeque<RequestInfo>,
 }
 
-/// Per-type queue terms snapshot handed to shard workers: `Clone` + `Send`,
-/// detached from the scheduler context.
-#[derive(Debug, Clone, Default)]
-pub struct TermsTable(Vec<(RequestTypeId, RatioTerms)>);
-
-impl TermsTable {
-    fn get(&self, rtype: RequestTypeId) -> &RatioTerms {
-        self.0
-            .iter()
-            .find(|(t, _)| *t == rtype)
-            .map(|(_, terms)| terms)
-            .expect("terms refreshed for every queued request type")
-    }
-}
-
-/// One shard's slice of the index. Detachable ([`ReorderIndex::take_shard`])
-/// so the parallel admission pass can move it into a shard worker and pop
-/// locally without touching shared state.
+/// One shard's slice of the index: its type queues, in ascending-rtype
+/// order, and how many requests they hold.
 #[derive(Debug, Default)]
-pub struct ShardQueues {
+struct ShardQueues {
     queues: Vec<TypeQueue>,
     len: usize,
 }
 
 impl ShardQueues {
-    /// Queued requests in this shard.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the shard has no queued requests.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     fn insert(&mut self, req: RequestInfo) {
         let qi = match self.queues.iter().position(|q| q.rtype == req.rtype) {
             Some(qi) => qi,
@@ -105,67 +81,6 @@ impl ShardQueues {
         let at = q.partition_point(|r| (r.arrival, r.id) <= key);
         q.insert(at, req);
         self.len += 1;
-    }
-
-    /// Index of the type queue whose front pops next under the reorder
-    /// ratio, with that front's ratio.
-    fn best_by_ratio(&self, now: SimTime, terms: &TermsTable) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (qi, q) in self.queues.iter().enumerate() {
-            let Some(front) = q.reqs.front() else { continue };
-            let r = terms.get(q.rtype).ratio(front, now);
-            let better = match best {
-                None => true,
-                Some((bqi, br)) => {
-                    let bf = self.queues[bqi].reqs.front().expect("best has a front");
-                    ratio_order(r, front, br, bf) == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some((qi, r));
-            }
-        }
-        best
-    }
-
-    /// Index of the type queue whose front is the `(arrival, id)` minimum
-    /// (the FCFS pop).
-    fn best_by_arrival(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (qi, q) in self.queues.iter().enumerate() {
-            let Some(front) = q.reqs.front() else { continue };
-            let better = match best {
-                None => true,
-                Some(bqi) => {
-                    let bf = self.queues[bqi].reqs.front().expect("best has a front");
-                    (front.arrival, front.id) < (bf.arrival, bf.id)
-                }
-            };
-            if better {
-                best = Some(qi);
-            }
-        }
-        best
-    }
-
-    fn pop_front_of(&mut self, qi: usize) -> RequestInfo {
-        let req = self.queues[qi].reqs.pop_front().expect("queue selected non-empty");
-        self.len -= 1;
-        req
-    }
-
-    /// Pops the highest-ratio waiting request (what a full
-    /// [`sort_by_reorder_ratio`](crate::reorder::sort_by_reorder_ratio)
-    /// would put first), with its ratio.
-    pub fn pop_max(&mut self, now: SimTime, terms: &TermsTable) -> Option<(f64, RequestInfo)> {
-        let (qi, r) = self.best_by_ratio(now, terms)?;
-        Some((r, self.pop_front_of(qi)))
-    }
-
-    /// Pops the earliest-arrived waiting request (the FCFS ablation).
-    pub fn pop_min(&mut self) -> Option<RequestInfo> {
-        let qi = self.best_by_arrival()?;
-        Some(self.pop_front_of(qi))
     }
 }
 
@@ -186,11 +101,6 @@ struct CachedTerms {
 pub struct ReorderIndex {
     shards: Vec<ShardQueues>,
     terms: Vec<CachedTerms>,
-    /// Shared worker snapshot of `terms`, rebuilt lazily after a refresh
-    /// actually changes something (rounds fire per arrival; rebuilding the
-    /// table every round was measurable on the 2M soak).
-    snapshot: std::sync::Arc<TermsTable>,
-    snapshot_stale: bool,
     len: usize,
 }
 
@@ -212,7 +122,7 @@ impl ReorderIndex {
 
     /// Whether shard `s` has queued requests.
     pub fn shard_has_work(&self, s: usize) -> bool {
-        self.shards.get(s).is_some_and(|sh| !sh.is_empty())
+        self.shards.get(s).is_some_and(|sh| sh.len > 0)
     }
 
     /// Queues `req` under its home shard, preserving `(arrival, id)` order
@@ -244,7 +154,6 @@ impl ReorderIndex {
                         if version != c.version {
                             c.terms = RatioTerms::for_type(q.rtype, ctx);
                             c.version = version;
-                            self.snapshot_stale = true;
                             invalidated.push((q.rtype, version));
                         }
                     }
@@ -257,7 +166,6 @@ impl ReorderIndex {
                             version: root.map_or(0, |s| ctx.profiles.version(s)),
                             terms: RatioTerms::for_type(q.rtype, ctx),
                         });
-                        self.snapshot_stale = true;
                     }
                 }
             }
@@ -265,34 +173,24 @@ impl ReorderIndex {
         invalidated
     }
 
-    /// Snapshot of the cached terms for shard workers, shared via `Arc`
-    /// and rebuilt only when a refresh changed a term.
-    pub fn terms_table(&mut self) -> std::sync::Arc<TermsTable> {
-        if self.snapshot_stale {
-            self.snapshot = std::sync::Arc::new(TermsTable(
-                self.terms.iter().map(|c| (c.rtype, c.terms)).collect(),
-            ));
-            self.snapshot_stale = false;
-        }
-        std::sync::Arc::clone(&self.snapshot)
-    }
-
-    /// The champion front across every shard under the reorder ratio:
-    /// `(shard, queue, ratio)`.
-    fn best_by_ratio(&self, now: SimTime) -> Option<(usize, usize, f64)> {
+    /// The one merge: the front that pops next among `shards`, as
+    /// `(shard, queue, ratio)`. `rank_at: Some(now)` ranks by the reorder
+    /// ratio at `now`; `None` is FCFS — every ratio is then 0 and
+    /// [`ratio_order`] falls through to its `(arrival, id)` tie-break.
+    fn best_front(
+        &self,
+        shards: Range<usize>,
+        rank_at: Option<SimTime>,
+    ) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64)> = None;
-        for (si, sh) in self.shards.iter().enumerate() {
-            for (qi, q) in sh.queues.iter().enumerate() {
+        for si in shards {
+            for (qi, q) in self.shards[si].queues.iter().enumerate() {
                 let Some(front) = q.reqs.front() else { continue };
-                let r = self.terms_for(q.rtype).ratio(front, now);
-                let better = match best {
-                    None => true,
-                    Some((bsi, bqi, br)) => {
-                        let bf =
-                            self.shards[bsi].queues[bqi].reqs.front().expect("best has a front");
-                        ratio_order(r, front, br, bf) == std::cmp::Ordering::Less
-                    }
-                };
+                let r = rank_at.map_or(0.0, |now| self.terms_for(q.rtype).ratio(front, now));
+                let better = best.is_none_or(|(bsi, bqi, br)| {
+                    let bf = self.shards[bsi].queues[bqi].reqs.front().expect("best has a front");
+                    ratio_order(r, front, br, bf) == std::cmp::Ordering::Less
+                });
                 if better {
                     best = Some((si, qi, r));
                 }
@@ -309,54 +207,45 @@ impl ReorderIndex {
             .expect("refresh_terms ran before ranked access")
     }
 
+    /// Pops the [`best_front`](Self::best_front) among `shards`.
+    fn pop_best(
+        &mut self,
+        shards: Range<usize>,
+        rank_at: Option<SimTime>,
+    ) -> Option<(f64, RequestInfo)> {
+        let (si, qi, r) = self.best_front(shards, rank_at)?;
+        let sh = &mut self.shards[si];
+        let req = sh.queues[qi].reqs.pop_front().expect("selected non-empty");
+        sh.len -= 1;
+        self.len -= 1;
+        Some((r, req))
+    }
+
     /// The request the next [`pop_max`](Self::pop_max) would return, with
     /// its ratio (the audit record's head + rank).
     pub fn peek_max(&self, now: SimTime) -> Option<(f64, &RequestInfo)> {
-        let (si, qi, r) = self.best_by_ratio(now)?;
+        let (si, qi, r) = self.best_front(0..self.shards.len(), Some(now))?;
         Some((r, self.shards[si].queues[qi].reqs.front().expect("selected non-empty")))
     }
 
     /// Pops the globally highest-ratio request (sorted-path order).
     pub fn pop_max(&mut self, now: SimTime) -> Option<(f64, RequestInfo)> {
-        let (si, qi, r) = self.best_by_ratio(now)?;
-        self.len -= 1;
-        Some((r, self.shards[si].pop_front_of(qi)))
+        self.pop_best(0..self.shards.len(), Some(now))
     }
 
     /// Pops the globally earliest-arrived request (FCFS ablation order).
     pub fn pop_min(&mut self) -> Option<RequestInfo> {
-        let mut best: Option<(usize, usize)> = None;
-        for (si, sh) in self.shards.iter().enumerate() {
-            for (qi, q) in sh.queues.iter().enumerate() {
-                let Some(front) = q.reqs.front() else { continue };
-                let better = match best {
-                    None => true,
-                    Some((bsi, bqi)) => {
-                        let bf =
-                            self.shards[bsi].queues[bqi].reqs.front().expect("best has a front");
-                        (front.arrival, front.id) < (bf.arrival, bf.id)
-                    }
-                };
-                if better {
-                    best = Some((si, qi));
-                }
-            }
-        }
-        let (si, qi) = best?;
-        self.len -= 1;
-        Some(self.shards[si].pop_front_of(qi))
+        self.pop_best(0..self.shards.len(), None).map(|(_, r)| r)
     }
 
-    /// Detaches shard `s`'s queues for a parallel worker. The worker drains
-    /// them completely (admissions plus deferrals); deferred requests come
-    /// back through [`insert`](Self::insert) after the barrier.
-    pub fn take_shard(&mut self, s: usize) -> ShardQueues {
-        if s >= self.shards.len() {
-            return ShardQueues::default();
-        }
-        let sq = std::mem::take(&mut self.shards[s]);
-        self.len -= sq.len;
-        sq
+    /// Pops shard `shard`'s next request: by reorder ratio at `rank_at`,
+    /// or FCFS when it is `None`. Restricting a total order to a shard
+    /// preserves it, so the pops replay the global order's subsequence of
+    /// that shard. Deferred requests come back through
+    /// [`insert`](Self::insert).
+    pub fn pop_shard(&mut self, shard: usize, rank_at: Option<SimTime>) -> Option<RequestInfo> {
+        let end = (shard + 1).min(self.shards.len());
+        self.pop_best(shard..end, rank_at).map(|(_, r)| r)
     }
 }
 
@@ -599,30 +488,36 @@ mod tests {
     }
 
     #[test]
-    fn take_shard_detaches_and_len_tracks() {
+    fn shard_pops_replay_the_reference_restricted_to_the_shard() {
         let mut h = H::new();
         let reqs = mixed_queue(&h);
-        let mut index = ReorderIndex::new();
-        for r in &reqs {
-            index.insert(*r, (r.id.0 % 2) as usize);
-        }
-        let total = index.len();
+        let now = SimTime::from_millis(1000);
         let ctx = h.ctx();
-        index.refresh_terms(&ctx);
-        let terms = index.terms_table();
-        let mut shard0 = index.take_shard(0);
-        assert_eq!(index.len() + shard0.len(), total);
-        assert!(!index.shard_has_work(0));
-        assert!(index.shard_has_work(1));
-        // The detached shard pops its own subsequence of the global order.
-        let now = ctx.now;
-        let mut local = Vec::new();
-        while let Some((_, r)) = shard0.pop_max(now, &terms) {
-            local.push(r);
+        for ranked in [true, false] {
+            let mut index = ReorderIndex::new();
+            for r in &reqs {
+                index.insert(*r, (r.id.0 % 3) as usize);
+            }
+            index.refresh_terms(&ctx);
+            let rank_at = ranked.then_some(now);
+            for shard in 0..4usize {
+                let before = index.len();
+                let mut popped = Vec::new();
+                while let Some(r) = index.pop_shard(shard, rank_at) {
+                    popped.push(r);
+                }
+                assert!(!index.shard_has_work(shard));
+                assert_eq!(index.len(), before - popped.len());
+                let mut expected: Vec<RequestInfo> =
+                    reqs.iter().copied().filter(|r| r.id.0 % 3 == shard as u64).collect();
+                if ranked {
+                    sort_by_reorder_ratio(&mut expected, now, &ctx);
+                } else {
+                    expected.sort_by_key(|r| (r.arrival, r.id));
+                }
+                assert_eq!(popped, expected, "shard {shard} ranked={ranked}");
+            }
+            assert!(index.is_empty());
         }
-        let mut expected: Vec<RequestInfo> =
-            reqs.iter().copied().filter(|r| r.id.0 % 2 == 0).collect();
-        sort_by_reorder_ratio(&mut expected, now, &ctx);
-        assert_eq!(local, expected);
     }
 }

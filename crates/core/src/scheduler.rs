@@ -9,15 +9,12 @@ use crate::healer::{
 use crate::organizer::{DtPolicy, OrganizerPolicy};
 use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
-use mlp_cluster::{MachineId, ShardPool};
+use mlp_cluster::MachineId;
 use mlp_model::VolatilityClass;
 use mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-use mlp_sched::placement::{
-    earliest_slot_in_cluster, plan_request, plan_request_in_shard, SlotTie,
-};
+use mlp_sched::placement::{earliest_slot_in_cluster, plan_request, SlotTie};
 use mlp_sched::{
-    HealingAction, LateInfo, NodeFailure, PlanEnv, RequestInfo, RequestPlan, Scheduler,
-    SchedulerCtx,
+    HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
 };
 use mlp_sim::{FastHashMap, SimDuration};
 use mlp_trace::metrics::names;
@@ -265,18 +262,48 @@ impl VMlpScheduler {
     }
 
     /// Files `req` in the waiting index under its home shard — the same
-    /// partition the parallel round scatters by. A deferred request
-    /// rejoins its type queue at the exact (arrival, id) position the pop
-    /// removed it from.
+    /// partition the sharded round pops by. A deferred request rejoins its
+    /// type queue at the exact (arrival, id) position the pop removed it
+    /// from.
     fn enqueue(&mut self, req: RequestInfo, ctx: &SchedulerCtx<'_>) {
         let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
         self.index.insert(req, shard);
     }
 
+    /// Algorithm 1's per-request step, the one decision point of every
+    /// round: size Δt by the request's volatility band, plan it — on its
+    /// home shard, spilling to the others only when `overflow` — record
+    /// the Δt tier that shaped the plan (the band is a pure function of
+    /// `V_r`, the root budget its output) or the deferral under
+    /// `defer_reason`, and admit a planned request.
+    fn try_admit(
+        &mut self,
+        req: RequestInfo,
+        overflow: bool,
+        defer_reason: &'static str,
+        ctx: &mut SchedulerCtx<'_>,
+    ) -> Option<RequestPlan> {
+        let policy =
+            organizer_policy(self.cfg.dt_policy, ctx.catalog.request(req.rtype).volatility);
+        let plan = plan_request(&req, &policy, overflow, &mut self.rr_cursor, ctx);
+        if ctx.audit.is_enabled() {
+            let d = match &plan {
+                Some(plan) => Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
+                    .budget_ms(plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64())),
+                None => Decision::new(ctx.now, DecisionKind::Defer, defer_reason),
+            };
+            ctx.audit.record(d.request(req.id).vr(policy.vr.value()));
+        }
+        if let Some(plan) = &plan {
+            self.admit(req, plan.clone(), ctx);
+        }
+        plan
+    }
+
     /// The whole-cluster admission step of the sequential round and the
-    /// overflow pass: admits `req` and returns its plan, or counts and
-    /// records the deferral ("if this request is not totally assigned …
-    /// switch `r_i` with `r_{i+1}`") and returns `None`.
+    /// overflow pass: admits `req` and returns its plan, or counts the
+    /// deferral ("if this request is not totally assigned … switch `r_i`
+    /// with `r_{i+1}`") and returns `None`.
     fn admit_or_defer(
         &mut self,
         req: RequestInfo,
@@ -284,25 +311,53 @@ impl VMlpScheduler {
     ) -> Option<RequestPlan> {
         let queue_switch = self.cfg.queue_switch;
         let defer_reason = if queue_switch { "queue-switch" } else { "head-of-line-block" };
-        let audit_on = ctx.audit.is_enabled();
-        let rr_cursor = &mut self.rr_cursor;
-        let (plan, decision) = place_or_defer(
-            &req,
-            self.cfg.dt_policy,
-            &ctx.env(),
-            audit_on,
-            defer_reason,
-            |policy| plan_request(&req, policy, rr_cursor, ctx),
-        );
-        if let Some(d) = decision {
-            ctx.audit.record(d);
-        }
-        match &plan {
-            Some(plan) => self.admit(req, plan.clone(), ctx),
-            None if queue_switch => ctx.metrics.inc(names::QUEUE_SWITCHES),
-            None => {}
+        let plan = self.try_admit(req, true, defer_reason, ctx);
+        if plan.is_none() && queue_switch {
+            ctx.metrics.inc(names::QUEUE_SWITCHES);
         }
         plan
+    }
+
+    /// The sharded round (`K > 1` with queue switching; DESIGN.md §16).
+    /// Each shard with queued work, in ascending shard order, pops its own
+    /// queue — the global order restricted to the shard — and plans every
+    /// request on its home shard only. A request the home shard cannot
+    /// host (`Defer "no-home-shard-slot"`) rides to one whole-cluster
+    /// overflow pass after the last shard, and so does everything behind a
+    /// shard's [`MAX_ADMIT_TRIES_PER_ROUND`]-th failure, untried. Past the
+    /// overflow pass's own failure cap the rest requeue untried.
+    fn schedule_sharded(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
+        let rank_at = self.cfg.reorder.then_some(ctx.now);
+        let mut plans = Vec::new();
+        let mut overflow: Vec<RequestInfo> = Vec::new();
+        for shard in 0..ctx.cluster.shard_count() {
+            if !self.index.shard_has_work(shard) {
+                continue;
+            }
+            let mut failures = 0usize;
+            while let Some(req) = self.index.pop_shard(shard, rank_at) {
+                if failures < MAX_ADMIT_TRIES_PER_ROUND {
+                    if let Some(plan) = self.try_admit(req, false, "no-home-shard-slot", ctx) {
+                        plans.push(plan);
+                        continue;
+                    }
+                    failures += 1;
+                }
+                overflow.push(req);
+            }
+        }
+        let mut failures = 0usize;
+        for req in overflow {
+            if failures < MAX_ADMIT_TRIES_PER_ROUND {
+                if let Some(plan) = self.admit_or_defer(req, ctx) {
+                    plans.push(plan);
+                    continue;
+                }
+                failures += 1;
+            }
+            self.enqueue(req, ctx);
+        }
+        plans
     }
 }
 
@@ -322,45 +377,6 @@ fn organizer_policy(dt_policy: DtPolicy, volatility: f64) -> OrganizerPolicy {
     }
 }
 
-/// Algorithm 1's per-request step, the one decision point of every round:
-/// size Δt by the request's volatility band, let `place` try to plan it
-/// (whole cluster or one shard), and describe the outcome — the Δt tier
-/// that shaped the plan (the band is a pure function of `V_r`, the root
-/// budget its output), or a deferral under `defer_reason`. The record is
-/// returned rather than written so shard workers can buffer theirs until
-/// the barrier; it is `None` when auditing is off.
-fn place_or_defer(
-    req: &RequestInfo,
-    dt_policy: DtPolicy,
-    env: &PlanEnv<'_>,
-    audit_on: bool,
-    defer_reason: &'static str,
-    place: impl FnOnce(&OrganizerPolicy) -> Option<RequestPlan>,
-) -> (Option<RequestPlan>, Option<Decision>) {
-    let policy = organizer_policy(dt_policy, env.catalog.request(req.rtype).volatility);
-    let plan = place(&policy);
-    let decision = audit_on.then(|| {
-        let d = match &plan {
-            Some(plan) => Decision::new(env.now, DecisionKind::BudgetTier, "banded-dt")
-                .budget_ms(plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64())),
-            None => Decision::new(env.now, DecisionKind::Defer, defer_reason),
-        };
-        d.request(req.id).vr(policy.vr.value())
-    });
-    (plan, decision)
-}
-
-/// Everything one shard worker produces during a parallel admission pass.
-/// Side effects (admissions, audit records, deferrals) are buffered here
-/// and applied at the barrier in shard-index order, so the merged outcome
-/// is independent of worker count and completion order.
-#[derive(Default)]
-struct ShardPass {
-    admitted: Vec<(RequestInfo, RequestPlan)>,
-    deferred: Vec<RequestInfo>,
-    decisions: Vec<Decision>,
-}
-
 impl Scheduler for VMlpScheduler {
     fn name(&self) -> &'static str {
         "v-MLP"
@@ -370,17 +386,22 @@ impl Scheduler for VMlpScheduler {
         self.enqueue(req, ctx);
     }
 
-    /// The sequential admission round (Algorithm 1). Lines 1–2, the
-    /// machine status "refresh", are the ledger state itself, which
-    /// completions and trims keep current; the queue is walked by popping
-    /// the index — highest reorder ratio first, or oldest first under the
-    /// FCFS ablation.
+    /// The admission round (Algorithm 1). Lines 1–2, the machine status
+    /// "refresh", are the ledger state itself, which completions and trims
+    /// keep current; the queue is walked by popping the index — highest
+    /// reorder ratio first, or oldest first under the FCFS ablation. A
+    /// sharded cluster runs the sharded round (`schedule_sharded`);
+    /// one shard, and the head-of-line-blocking ablation (an inherently
+    /// global-order semantic), run the sequential one below.
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         if self.index.is_empty() {
             return Vec::new();
         }
         if self.cfg.reorder {
             self.refresh_index_terms(ctx);
+        }
+        if ctx.cluster.shard_count() > 1 && self.cfg.queue_switch {
+            return self.schedule_sharded(ctx);
         }
         let mut plans = Vec::new();
         let mut deferred: Vec<RequestInfo> = Vec::new();
@@ -404,146 +425,6 @@ impl Scheduler for VMlpScheduler {
             }
         }
         for req in deferred {
-            self.enqueue(req, ctx);
-        }
-        plans
-    }
-
-    /// The parallel admission pass (DESIGN.md §16). Three phases:
-    ///
-    /// 1. **Reorder** (sequential): the terms refresh and head-of-queue
-    ///    record, exactly as in [`schedule`](Scheduler::schedule).
-    /// 2. **Shard-local placement** (on the pool): each shard with queued
-    ///    work has its queues *detached* from the index and a worker pops
-    ///    them — shard-local pop order is the global order restricted to
-    ///    the shard — planning against *its own* machines via
-    ///    [`plan_request_in_shard`] and buffering plans, deferrals, and
-    ///    audit records. Workers share no mutable state, so the per-shard
-    ///    outcome is a pure function of the shard's inputs — identical at
-    ///    any worker count.
-    /// 3. **Barrier merge + overflow** (sequential): buffered effects are
-    ///    applied in shard-index order, then requests that found no slot
-    ///    in their home shard get one sequential cross-shard overflow pass
-    ///    with the full [`plan_request`] scan.
-    ///
-    /// With one shard the sequential pass *is* the algorithm, so it is
-    /// called directly (byte-identical output). With `K > 1` the schedule
-    /// may differ from the sequential pass (home-shard failures overflow
-    /// at the barrier instead of mid-scan) but is bit-reproducible across
-    /// worker counts. The head-of-line-blocking ablation
-    /// (`queue_switch = false`) is an inherently global-order semantic and
-    /// also stays sequential.
-    fn schedule_parallel(
-        &mut self,
-        ctx: &mut SchedulerCtx<'_>,
-        pool: &ShardPool,
-    ) -> Vec<RequestPlan> {
-        let shards = ctx.cluster.shard_count();
-        if shards <= 1 || !self.cfg.queue_switch {
-            return self.schedule(ctx);
-        }
-        // Admission rounds fire on every arrival while the queue is short,
-        // so most rounds see an empty queue: bail before paying for the
-        // fan-out scaffolding.
-        if self.index.is_empty() {
-            return Vec::new();
-        }
-
-        // Phase 1 — reorder, exactly as the sequential pass does it.
-        if self.cfg.reorder {
-            self.refresh_index_terms(ctx);
-        }
-
-        // Phase 2 — detach each working shard's queues and plan on the
-        // pool. Only shards with queued work get a scatter job: fanning
-        // out all `K` per round would pay O(shards + machines) in job
-        // scaffolding that a short queue never uses. The wanted-shard set
-        // is a pure function of queue content — never of worker timing —
-        // and jobs stay in ascending shard order, so the barrier merge
-        // order is fixed.
-        let wanted: Vec<bool> = (0..shards).map(|s| self.index.shard_has_work(s)).collect();
-        let env = ctx.env();
-        let dt_policy = self.cfg.dt_policy;
-        let reorder = self.cfg.reorder;
-        let audit_on = ctx.audit.is_enabled();
-        // One shared terms snapshot, rebuilt only when a refresh changed a
-        // term — rounds fire per arrival, so a per-round rebuild plus a
-        // per-job deep clone were both measurable.
-        let terms = self.index.terms_table();
-        let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
-        let jobs: Vec<_> = by_shard
-            .into_iter()
-            .map(|(s, mut machines)| {
-                let mut queues = self.index.take_shard(s);
-                let terms = std::sync::Arc::clone(&terms);
-                move |_shard: usize| {
-                    let mut out = ShardPass::default();
-                    let mut failures = 0usize;
-                    // Drain the queues completely: a detached queue has no
-                    // owner after the job.
-                    loop {
-                        let popped = if reorder {
-                            queues.pop_max(env.now, &terms).map(|(_, r)| r)
-                        } else {
-                            queues.pop_min()
-                        };
-                        let Some(req) = popped else { break };
-                        if failures >= MAX_ADMIT_TRIES_PER_ROUND {
-                            // Shard saturated for this round: everything
-                            // behind the cap rides to the overflow pass.
-                            out.deferred.push(req);
-                            continue;
-                        }
-                        let (plan, decision) = place_or_defer(
-                            &req,
-                            dt_policy,
-                            &env,
-                            audit_on,
-                            "no-home-shard-slot",
-                            |policy| plan_request_in_shard(&req, policy, &env, &mut machines),
-                        );
-                        out.decisions.extend(decision);
-                        match plan {
-                            Some(plan) => out.admitted.push((req, plan)),
-                            None => {
-                                failures += 1;
-                                out.deferred.push(req);
-                            }
-                        }
-                    }
-                    out
-                }
-            })
-            .collect();
-        let outcomes = pool.scatter(jobs);
-
-        // Phase 3a — barrier merge, fixed shard-index order.
-        let mut plans = Vec::new();
-        let mut overflow: Vec<RequestInfo> = Vec::new();
-        for out in outcomes {
-            for d in out.decisions {
-                ctx.audit.record(d);
-            }
-            for (req, plan) in out.admitted {
-                self.admit(req, plan.clone(), ctx);
-                plans.push(plan);
-            }
-            overflow.extend(out.deferred);
-        }
-
-        // Phase 3b — sequential overflow pass: whole-cluster scan for
-        // requests their home shard could not host (the cross-shard work
-        // stealing the shard-local phase deliberately forgoes). Past the
-        // failure cap the rest requeue untried.
-        let mut failures = 0usize;
-        for req in overflow {
-            if failures < MAX_ADMIT_TRIES_PER_ROUND {
-                if let Some(plan) = self.admit_or_defer(req, ctx) {
-                    plans.push(plan);
-                    continue;
-                }
-                failures += 1;
-            }
             self.enqueue(req, ctx);
         }
         plans
@@ -1187,6 +1068,39 @@ mod tests {
         s.on_arrival(r1, &mut ctx);
         let plans = s.schedule(&mut ctx);
         assert_eq!(plans[0].request, RequestId(1), "earlier arrival admits first");
+    }
+
+    #[test]
+    fn saturated_home_shard_defers_then_overflows() {
+        let mut h = H::new(4);
+        h.cluster = h.cluster.clone().with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        // Request 1 is homed on shard 1 (the odd machine ids): fill it.
+        for m in h.cluster.machines_mut().iter_mut().filter(|m| m.id.0 % 2 == 1) {
+            m.ledger.reserve(
+                SimTime::ZERO,
+                SimTime::from_secs(120),
+                ResourceVector::new(6.0, 32_000.0, 1_000.0),
+            );
+        }
+        let mut s = VMlpScheduler::new();
+        let r = h.req(1, "basicSearch", 0);
+        let mut ctx = h.ctx(0);
+        s.on_arrival(r, &mut ctx);
+        let plans = s.schedule(&mut ctx);
+        assert_eq!(plans.len(), 1, "the overflow pass admits it");
+        for np in &plans[0].nodes {
+            assert_eq!(h.cluster.shard_of(np.machine), mlp_cluster::ShardId(0));
+        }
+        let trail: Vec<(DecisionKind, &str)> =
+            h.audit.decisions().iter().map(|d| (d.kind, d.reason)).collect();
+        assert_eq!(
+            trail,
+            [(DecisionKind::Defer, "no-home-shard-slot"), (DecisionKind::BudgetTier, "banded-dt")]
+        );
+        // Counted per placement: every node of the plan spilled once.
+        assert_eq!(h.metrics.counter(names::SHARD_OVERFLOWS), plans[0].nodes.len() as u64);
+        assert_eq!(h.metrics.counter(names::QUEUE_SWITCHES), 0, "a home-shard miss is no switch");
+        assert_eq!(s.waiting(), 0);
     }
 
     #[test]

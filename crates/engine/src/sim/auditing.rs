@@ -7,7 +7,6 @@ use mlp_trace::{metrics::names, DecisionKind};
 /// The per-machine invariant checks of [`Sim::audit_tick`]: occupancy
 /// conservation (grants ≙ actual usage ≙ running-span sum) and the
 /// reservation ledger's incremental index against a from-scratch rebuild.
-/// A free function so shard workers can run it without touching `Sim`.
 fn machine_checks(m: &mlp_cluster::Machine, used: &HashMap<u32, ResourceVector>) -> Vec<String> {
     let mut violations = Vec::new();
     let (_, grants_total, actual_used, _) = m.occupancy();
@@ -72,29 +71,9 @@ impl<'c, D: Driver> Sim<'c, D> {
             }
         }
         // Per-machine checks (occupancy conservation + ledger consistency
-        // rebuild) are independent, so they fan out one job per shard over
-        // the worker pool (one shard runs inline); results are re-sorted
-        // by machine id before merging, making the violation list the
-        // ascending-id walk at any worker count.
-        let used_ref = &used;
-        let jobs: Vec<_> =
-            self.cluster
-                .machines_by_shard_mut()
-                .into_iter()
-                .map(|machines| {
-                    move |_s: usize| {
-                        machines
-                            .iter()
-                            .map(|m| (m.id.0, machine_checks(m, used_ref)))
-                            .collect::<Vec<(u32, Vec<String>)>>()
-                    }
-                })
-                .collect();
-        let mut per_machine: Vec<(u32, Vec<String>)> =
-            self.pool.scatter(jobs).into_iter().flatten().collect();
-        per_machine.sort_by_key(|(id, _)| *id);
-        for (_, v) in per_machine {
-            violations.extend(v);
+        // rebuild), in ascending machine id.
+        for m in self.cluster.machines() {
+            violations.extend(machine_checks(m, &used));
         }
         // Shard-partition consistency: the shard map must remain a strict
         // partition of the cluster (every machine in exactly one shard,

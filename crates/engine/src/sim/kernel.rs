@@ -215,6 +215,9 @@ impl<'c, D: Driver> Sim<'c, D> {
             self.metrics.set_gauge(names::MTTR_MS, mean_ms);
         }
         self.metrics.set_gauge(names::REQUEST_TABLE_PEAK, self.table.peak() as f64);
+        for (s, &peak) in self.shard_peaks.iter().enumerate() {
+            self.metrics.set_gauge(&names::shard_utilization_peak(s as u32), peak);
+        }
         if let Some(o) = self.overload.as_ref() {
             self.metrics.set_gauge(names::OVERLOAD_PRESSURE_PEAK, o.brownout.peak_pressure());
             self.metrics.set_gauge(names::BREAKER_OPENS, o.breakers.opens() as f64);
@@ -262,7 +265,7 @@ impl<'c, D: Driver> Sim<'c, D> {
         self.last_round = now;
         let plans = {
             let mut ctx = sched_ctx!(self, now);
-            scheduler.schedule_parallel(&mut ctx, &self.pool)
+            scheduler.schedule(&mut ctx)
         };
         // Adapt the round spacing: a saturated cluster gains nothing from
         // re-examining the same backlog every few milliseconds.

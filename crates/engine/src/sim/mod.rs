@@ -51,7 +51,7 @@
 //! plateaus near rate × residence time while arrivals grow without bound.
 
 use crate::config::ExperimentConfig;
-use mlp_cluster::{Cluster, GrantId, MachineId, ShardPool};
+use mlp_cluster::{Cluster, GrantId, MachineId};
 use mlp_faults::FaultSchedule;
 use mlp_model::{RequestCatalog, RequestTypeId, ResourceVector};
 use mlp_net::NetworkModel;
@@ -301,7 +301,7 @@ fn build_sim<'c, D: Driver>(
     profiles.set_retention(cfg.profile_retention);
     Sim {
         cluster: cfg.build_cluster(),
-        pool: ShardPool::new(cfg.workers),
+        shard_peaks: Vec::new(),
         catalog,
         profiles,
         net: NetworkModel::paper_default(),
@@ -347,9 +347,10 @@ fn build_sim<'c, D: Driver>(
 
 struct Sim<'c, D: Driver> {
     cluster: Cluster,
-    /// Worker pool for per-tick shard work (admission, telemetry,
-    /// auditing). One worker (the default) executes inline.
-    pool: ShardPool,
+    /// Per-shard utilization high-water marks, sampled every tick of a
+    /// sharded run (empty otherwise) and published as
+    /// `shard_utilization_peak_s{i}` gauges when the run ends.
+    shard_peaks: Vec<f64>,
     catalog: &'c RequestCatalog,
     profiles: ProfileStore,
     net: NetworkModel,

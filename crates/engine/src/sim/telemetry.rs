@@ -1,6 +1,7 @@
 //! Sampling-tick bookkeeping: utilization series, reservation-ledger
 //! pruning, and the gauges long runs assert on (retained ledger
-//! breakpoints, per-shard peak load, request-table occupancy).
+//! breakpoints, request-table occupancy), plus the per-shard peak loads
+//! the epilogue publishes.
 
 use super::*;
 use mlp_sched::pressure_signal;
@@ -23,35 +24,17 @@ impl<'c, D: Driver> Sim<'c, D> {
         // Retention window is a config knob (`ledger_retention_s`); the
         // default 2 s matches the historical hardcoded window, and the
         // auditor cross-checks that a tighter window never breaks
-        // reservation consistency.
-        //
-        // Pruning is per-machine-independent, so it fans out one job per
-        // shard over the worker pool (one shard runs inline). Each job
-        // reports its shard's retained-breakpoint total and largest
-        // timeline; both fold order-independently, so the gauges are the
-        // same at any worker count. Long runs assert on the cluster max
-        // (a high-water mark across ticks) and the per-tick total to
-        // prove retained breakpoints stay bounded.
+        // reservation consistency. Long runs assert on the cluster's
+        // largest timeline (a high-water mark across ticks) and the
+        // per-tick total to prove retained breakpoints stay bounded.
         let cutoff = now.saturating_sub(self.ledger_retention);
-        let jobs: Vec<_> = self
-            .cluster
-            .machines_by_shard_mut()
-            .into_iter()
-            .map(|mut machines| {
-                move |_s: usize| {
-                    machines.iter_mut().fold((0usize, 0usize), |(total, largest), m| {
-                        m.ledger.prune_before(cutoff);
-                        let len = m.ledger.timeline_len();
-                        (total + len, largest.max(len))
-                    })
-                }
-            })
-            .collect();
-        let (total, largest) = self
-            .pool
-            .scatter(jobs)
-            .into_iter()
-            .fold((0, 0), |(total, largest), (t, l)| (total + t, largest.max(l)));
+        let (mut total, mut largest) = (0usize, 0usize);
+        for m in self.cluster.machines_mut() {
+            m.ledger.prune_before(cutoff);
+            let len = m.ledger.timeline_len();
+            total += len;
+            largest = largest.max(len);
+        }
         let max_seen =
             self.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap_or(0.0).max(largest as f64);
         self.metrics.set_gauge(names::LEDGER_TIMELINE_MAX, max_seen);
@@ -61,13 +44,14 @@ impl<'c, D: Driver> Sim<'c, D> {
         self.metrics.set_gauge(names::REQUEST_TABLE_PEAK, self.table.peak() as f64);
         // Per-shard utilization high-water marks, only when actually
         // sharded: scale runs watch whether load stays balanced across
-        // shards or piles up in a few.
-        if self.cluster.shard_count() > 1 {
-            for s in 0..self.cluster.shard_count() as u32 {
-                let util = self.cluster.shard_utilization(mlp_cluster::ShardId(s));
-                let peak_name = names::shard_utilization_peak(s);
-                let peak = self.metrics.gauge(&peak_name).unwrap_or(0.0).max(util);
-                self.metrics.set_gauge(&peak_name, peak);
+        // shards or piles up in a few. Kept here and published as gauges
+        // once, when the run ends.
+        let shards = self.cluster.shard_count();
+        if shards > 1 {
+            self.shard_peaks.resize(shards, 0.0);
+            for (s, peak) in self.shard_peaks.iter_mut().enumerate() {
+                let util = self.cluster.shard_utilization(mlp_cluster::ShardId(s as u32));
+                *peak = peak.max(util);
             }
         }
         self.overload_tick(now, waiting);

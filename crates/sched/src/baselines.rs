@@ -80,7 +80,7 @@ impl Scheduler for FairSched {
         let policy = FairPolicy { slice: ctx.cluster.machines()[0].capacity * (1.0 / FAIR_SLOTS) };
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &policy, &mut self.rr_cursor, ctx)
+            let plan = plan_request(&req, &policy, true, &mut self.rr_cursor, ctx)
                 .expect("round-robin placement cannot fail");
             plans.push(plan);
         }
@@ -142,7 +142,7 @@ impl Scheduler for CurSched {
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &CurPolicy, &mut self.rr_cursor, ctx)
+            let plan = plan_request(&req, &CurPolicy, true, &mut self.rr_cursor, ctx)
                 .expect("least-loaded placement cannot fail");
             plans.push(plan);
         }
@@ -197,7 +197,7 @@ fn admit_in_deadline_order(
             deferred.extend_from_slice(&pending[i..]);
             break;
         }
-        match plan_request(req, policy, rr_cursor, ctx) {
+        match plan_request(req, policy, true, rr_cursor, ctx) {
             Some(plan) => plans.push(plan),
             None => {
                 failures += 1;

@@ -8,11 +8,9 @@ use mlp_sim::{SimDuration, SimTime};
 use mlp_trace::{AuditLog, MetricsRegistry, ProfileStore, RequestId, Span};
 
 /// The read-only planning environment: everything per-node budget/grant
-/// estimation consults. Split out of [`SchedulerCtx`] so planning can run
-/// on shard workers that hold only *their shard's* machines — the full
-/// ctx owns `&mut Cluster` and cannot cross a thread boundary in pieces.
-/// All fields are shared references to `Sync` data, so a `PlanEnv` is
-/// `Copy + Send + Sync` and one value can serve every worker of a tick.
+/// estimation consults. Split out of [`SchedulerCtx`] so a planner can
+/// hold it (`Copy`: shared references only) while it writes reservations
+/// through the context's `&mut Cluster`.
 #[derive(Clone, Copy)]
 pub struct PlanEnv<'a> {
     /// Current simulation time.
@@ -171,11 +169,12 @@ pub trait Scheduler {
     /// Admission pass: place whichever waiting requests the scheme can.
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan>;
 
-    /// Admission pass with a shard worker pool available. Schemes that
-    /// partition their work by shard override this to fan placement out
-    /// over the pool (with effects merged back in shard-index order so
-    /// results are identical at any worker count); the default ignores
-    /// the pool and runs the sequential [`schedule`](Scheduler::schedule).
+    /// Former admission pass with a shard worker pool. The engine no
+    /// longer calls it — every round is [`schedule`](Scheduler::schedule),
+    /// run on the kernel thread — and no scheme overrides it; it stays,
+    /// forwarding to `schedule`, only because the repo benchmark's timing
+    /// decorator still overrides it, and goes with the next change to
+    /// that benchmark.
     fn schedule_parallel(
         &mut self,
         ctx: &mut SchedulerCtx<'_>,

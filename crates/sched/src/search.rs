@@ -303,7 +303,7 @@ impl Scheduler for SearchSched {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &policy, &mut self.rr_cursor, ctx) {
+            match plan_request(req, &policy, true, &mut self.rr_cursor, ctx) {
                 Some(greedy) => {
                     let plan = if refined < self.cfg.round_budget {
                         refined += 1;
