@@ -4,10 +4,13 @@
 //! thousands of machines. This sweep holds the *per-machine* offered load
 //! constant (the small-scale regime) while the fleet grows 8 → 4096, with
 //! the cluster partitioned into one shard per 16 machines so placement and
-//! healing scan a shard instead of the whole fleet, crossed with a
-//! worker-thread axis (shard ticks fan out over the pool; results are
-//! bit-identical across the axis, only wall time moves). The invariant
-//! auditor runs at every point: scaling out must never cost correctness.
+//! healing scan a shard instead of the whole fleet. The invariant auditor
+//! runs at every point: scaling out must never cost correctness.
+//!
+//! The recorded points hold only fixed-seed results, so a rerun must
+//! reproduce the committed `BENCH_sim.json` rows exactly — CI's regression
+//! check for the sharded admission round. Wall time is printed, never
+//! recorded.
 
 use crate::scale::Scale;
 use mlp_cluster::ShardPolicy;
@@ -41,19 +44,6 @@ pub fn machine_counts(scale: &Scale) -> &'static [usize] {
     }
 }
 
-/// Worker-thread counts swept at each fleet size — the threads axis of
-/// the trajectory. Results are bit-identical across the axis (the pool
-/// only changes wall time); sweeping it records what the hardware
-/// actually delivers. Small scale keeps one multi-worker point so CI
-/// exercises the threaded path; tiny stays inline.
-pub fn worker_counts(scale: &Scale) -> &'static [usize] {
-    match scale.label {
-        "paper" => &[1, 4, 8],
-        "tiny" => &[1],
-        _ => &[1, 2],
-    }
-}
-
 /// Shard count for a fleet: one shard per [`MACHINES_PER_SHARD`] machines.
 pub fn shards_for(machines: usize) -> usize {
     (machines / MACHINES_PER_SHARD).max(1)
@@ -66,10 +56,6 @@ pub struct ScalePoint {
     pub machines: usize,
     /// Shards the fleet was partitioned into.
     pub shards: usize,
-    /// Worker threads ticking the shards (1 = inline).
-    pub workers: usize,
-    /// Wall-clock of the whole run, milliseconds.
-    pub wall_ms: f64,
     /// Requests that arrived / completed.
     pub arrived: usize,
     /// Requests completed by cut-off.
@@ -88,7 +74,7 @@ pub struct ScalePoint {
 }
 
 /// The experiment config for one sweep point.
-pub fn config_for(machines: usize, workers: usize, seed: u64) -> ExperimentConfig {
+pub fn config_for(machines: usize, seed: u64) -> ExperimentConfig {
     ExperimentConfig {
         machines,
         max_rate: RATE_PER_MACHINE * machines as f64,
@@ -97,17 +83,16 @@ pub fn config_for(machines: usize, workers: usize, seed: u64) -> ExperimentConfi
     }
     .with_seed(seed)
     .with_shards(shards_for(machines), ShardPolicy::RoundRobin)
-    .with_workers(workers)
     .with_auditor(true)
 }
 
-/// Runs one sweep point, timing the whole experiment (profiling, stream
-/// generation, simulation, summarization — the unit a capacity planner
-/// would actually re-run).
-pub fn data_point(machines: usize, workers: usize, seed: u64) -> ScalePoint {
+/// Runs one sweep point and its wall-clock in milliseconds, timing the
+/// whole experiment (profiling, stream generation, simulation,
+/// summarization — the unit a capacity planner would actually re-run).
+pub fn data_point(machines: usize, seed: u64) -> (ScalePoint, f64) {
     let shards = shards_for(machines);
     let start = Instant::now();
-    let (r, out) = Experiment::from_config(config_for(machines, workers, seed))
+    let (r, out) = Experiment::from_config(config_for(machines, seed))
         .run_full()
         .expect("scale sweep config is valid");
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -118,11 +103,9 @@ pub fn data_point(machines: usize, workers: usize, seed: u64) -> ScalePoint {
     } else {
         Vec::new()
     };
-    ScalePoint {
+    let point = ScalePoint {
         machines,
         shards,
-        workers,
-        wall_ms,
         arrived: r.arrived,
         completed: r.completed,
         violation_rate: r.violation_rate,
@@ -130,20 +113,17 @@ pub fn data_point(machines: usize, workers: usize, seed: u64) -> ScalePoint {
         shard_overflows: r.shard_overflows,
         invariant_violations: r.invariant_violations,
         shard_peak_utilization,
-    }
+    };
+    (point, wall_ms)
 }
 
-/// Runs the whole trajectory for a scale.
-pub fn data(scale: &Scale, seed: u64) -> Vec<ScalePoint> {
+/// Runs the whole trajectory for a scale: each point with its wall ms.
+pub fn data(scale: &Scale, seed: u64) -> Vec<(ScalePoint, f64)> {
     machine_counts(scale)
         .iter()
-        .flat_map(|&machines| worker_counts(scale).iter().map(move |&workers| (machines, workers)))
-        .map(|(machines, workers)| {
-            eprintln!(
-                "fig_scale: {machines} machines ({} shards, {workers} workers)…",
-                shards_for(machines)
-            );
-            data_point(machines, workers, seed)
+        .map(|&machines| {
+            eprintln!("fig_scale: {machines} machines ({} shards)…", shards_for(machines));
+            data_point(machines, seed)
         })
         .collect()
 }
@@ -159,17 +139,17 @@ pub fn gates(points: &[ScalePoint]) -> Vec<String> {
     }
 }
 
-/// Renders the trajectory table.
-pub fn report(points: &[ScalePoint], scale: &Scale) -> String {
+/// Renders the trajectory table; `wall_ms[i]` is `points[i]`'s wall-clock.
+pub fn report(points: &[ScalePoint], wall_ms: &[f64], scale: &Scale) -> String {
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
+        .zip(wall_ms)
+        .map(|(p, &wall_ms)| {
             vec![
                 format!("{}", p.machines),
                 format!("{}", p.shards),
-                format!("{}", p.workers),
-                format!("{:.0}", p.wall_ms),
-                format!("{:.1}", p.wall_ms / p.completed.max(1) as f64 * 1000.0),
+                format!("{:.0}", wall_ms),
+                format!("{:.1}", wall_ms / p.completed.max(1) as f64 * 1000.0),
                 format!("{}", p.completed),
                 format!("{:.1}%", p.violation_rate * 100.0),
                 format!("{:.1}%", p.mean_utilization * 100.0),
@@ -187,7 +167,6 @@ pub fn report(points: &[ScalePoint], scale: &Scale) -> String {
         &[
             "machines",
             "shards",
-            "workers",
             "wall ms",
             "µs/req",
             "completed",
@@ -219,9 +198,6 @@ mod tests {
         assert_eq!(machine_counts(&Scale::tiny()), &[8, 64]);
         assert_eq!(machine_counts(&Scale::small()), &[8, 64, 256]);
         assert_eq!(machine_counts(&Scale::paper()), &[8, 64, 256, 1024, 4096]);
-        assert_eq!(worker_counts(&Scale::tiny()), &[1]);
-        assert_eq!(worker_counts(&Scale::small()), &[1, 2]);
-        assert_eq!(worker_counts(&Scale::paper()), &[1, 4, 8]);
     }
 
     #[test]
@@ -236,12 +212,11 @@ mod tests {
     /// metrics — the acceptance shape of the full sweep, at test size.
     #[test]
     fn sharded_point_is_clean_and_reports_per_shard_metrics() {
-        let p = data_point(32, 2, 7);
+        let (p, wall_ms) = data_point(32, 7);
         assert_eq!(p.shards, 2);
-        assert_eq!(p.workers, 2);
         assert_eq!(p.invariant_violations, 0, "auditor must stay clean");
         assert!(p.completed > 0);
-        assert!(p.wall_ms > 0.0);
+        assert!(wall_ms > 0.0);
         assert_eq!(p.shard_peak_utilization.len(), 2, "per-shard gauges must be published");
         for (i, u) in p.shard_peak_utilization.iter().enumerate() {
             assert!((0.0..=1.0).contains(u), "shard {i} peak utilization {u} out of range");

@@ -138,9 +138,10 @@ pub const FIGURES: &[Figure] = &[
         })
     },
     fig("fig_scale", "scale trajectory 8 → 4096 machines, gated (extension)", |a| {
-        let points = fig_scale::data(&a.scale, SEED);
+        let (points, wall_ms): (Vec<_>, Vec<_>) =
+            fig_scale::data(&a.scale, SEED).into_iter().unzip();
         let gates = fig_scale::gates(&points);
-        Outcome::recorded(a, fig_scale::report(&points, &a.scale), &points, gates)
+        Outcome::recorded(a, fig_scale::report(&points, &wall_ms, &a.scale), &points, gates)
     }),
     fig("fig_serve", "live loopback serving soak, gated (extension)", |a| {
         let point = fig_serve::run(&a.scale, SEED);

@@ -150,8 +150,8 @@ pub struct ProfileStore {
     /// Banded-Δt memo: `(service, x, q) → (history version, Δt)`. Entries
     /// are validated against the service's current version, so a stale hit
     /// is impossible; interior mutability keeps `delta_t_ms` a `&self`
-    /// query (and the `Mutex` keeps the store shareable across shard
-    /// workers). Never serialized; cleared by `clone`.
+    /// query (and the `Mutex` keeps the store `Sync`). Never serialized;
+    /// cleared by `clone`.
     #[serde(skip)]
     memo: Mutex<FastHashMap<DeltaKey, (u64, f64)>>,
 }

@@ -1,5 +1,6 @@
-//! The full Fig 8 trace-driven workflow as a downstream user would run it:
-//! profile → persist → simulate → export spans for a tracing UI.
+//! The Fig 8 workflow as a downstream user would run it: profile →
+//! persist and reload the trace → simulate → export spans for a tracing
+//! UI. The simulation warms its own profiles from the config seed.
 //!
 //! ```sh
 //! cargo run --release --example trace_workflow
@@ -23,15 +24,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     traceio::save_profiles(&profile_path, &profiles, 2022, 100)?;
     println!("profiled {} service classes → {}", profiles.services().len(), profile_path.display());
 
-    // 2. Reload the stored traces (a later session, a different machine…).
+    // 2. Reload the stored traces (a later session, a different machine…)
+    //    and check the round trip: the same services, each with the same
+    //    mean execution time.
     let loaded = traceio::load_profiles(&profile_path)?;
+    let services = profiles.services();
+    if loaded.profiles.services() != services
+        || services.iter().any(|&s| loaded.profiles.mean_exec_ms(s) != profiles.mean_exec_ms(s))
+    {
+        return Err("the reloaded trace differs from the saved profiles".into());
+    }
     println!(
-        "reloaded trace v{} with {} services",
+        "reloaded trace v{}: {} services, per-service mean exec times intact",
         loaded.version,
-        loaded.profiles.services().len()
+        services.len()
     );
 
-    // 3. Trace-driven simulation (the right half of Fig 8).
+    // 3. Simulation (the right half of Fig 8). `run_full` warms its own
+    //    profile store from the config's seed and `warmup_cases`; the
+    //    reloaded trace above is not an input to it.
     let cfg = ExperimentConfig {
         machines: 10,
         max_rate: 60.0,
@@ -39,10 +50,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pattern: WorkloadPattern::L2Fluctuating,
         ..ExperimentConfig::paper_default("vmlp")
     };
-    let (result, raw) = Experiment::from_config(cfg).catalog(&catalog).run_full()?;
+    let (result, raw) = Experiment::from_config(cfg.clone()).catalog(&catalog).run_full()?;
     println!(
-        "simulated {} requests: p99 {:.1} ms, violations {:.2}%",
+        "simulated {} requests on profiles warmed from seed {} ({} cases per type): \
+         p99 {:.1} ms, violations {:.2}%",
         result.completed,
+        cfg.seed,
+        cfg.warmup_cases,
         result.latency_ms[2],
         result.violation_rate * 100.0
     );

@@ -38,8 +38,6 @@ FLAGS:
     --small-tier=N:S  heterogeneous fleet: N machines at scale S (e.g. 5:0.5)
     --shards=K        partition the cluster into K scheduling shards (default 1)
     --shard-policy=P  rr | capacity   (shard assignment, default rr)
-    --workers=N       worker threads ticking the shards; 0 = all cores,
-                      1 = inline (default 1; never changes results)
     --config=FILE     load a JSON ExperimentConfig instead of flags
     --out=FILE        save the result as JSON (traceio format)
     --audit=FILE      record the decision-audit trail as JSONL and run the
@@ -340,10 +338,6 @@ fn main() -> ExitCode {
                 "rr" | "round-robin" => config.shard_policy = ShardPolicy::RoundRobin,
                 "capacity" | "balanced" => config.shard_policy = ShardPolicy::CapacityBalanced,
                 _ => return bad(&format!("unknown shard policy '{value}'")),
-            },
-            "--workers" => match value.parse() {
-                Ok(n) => config.workers = n,
-                Err(_) => return bad("workers must be an integer"),
             },
             "--config" => match Experiment::from_config_file(Path::new(value)) {
                 Ok(e) => config = e.config().clone(),
