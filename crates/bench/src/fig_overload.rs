@@ -15,12 +15,12 @@
 //! admission-log feasibility replay) gate alongside the classic ones.
 
 use crate::scale::Scale;
-use mlp_engine::config::ExperimentConfig;
+use mlp_engine::config::{ExperimentConfig, DRAIN_FACTOR};
 use mlp_engine::experiment::Experiment;
 use mlp_engine::registry::SchemeSpec;
 use mlp_engine::report;
 use mlp_engine::sweep::SweepConfig;
-use mlp_sched::{OverloadConfig, RetryBudget};
+use mlp_sched::{OverloadConfig, RetryBudget, RETRY_BURST, RETRY_RATE_PER_S};
 use mlp_workload::patterns::WorkloadPattern;
 use serde::Serialize;
 
@@ -131,9 +131,7 @@ pub fn config_for(
 /// resilient arms' issued retries against this.
 pub fn retry_grant_bound(scale: &Scale, multiplier: f64) -> u64 {
     let cfg = config_for(scale, "vmlp", multiplier, true, 0);
-    let o = cfg.overload;
-    RetryBudget::new(o.retry_burst, o.retry_rate_per_s)
-        .grant_bound(cfg.horizon_s * cfg.drain_factor)
+    RetryBudget::new(RETRY_BURST, RETRY_RATE_PER_S).grant_bound(cfg.horizon_s * DRAIN_FACTOR)
 }
 
 /// Runs one cell.

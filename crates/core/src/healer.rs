@@ -90,7 +90,7 @@ pub fn delay_slot_candidates<S: BuildHasher>(
 /// [`delay_slot_candidates`] truncated to its best `k` entries —
 /// exactly `delay_slot_candidates(..).truncate(k)`, but selecting before
 /// sorting. Late invocations fire constantly under load and the healer
-/// only promotes `heal_fanout` candidates, so ordering the full candidate
+/// only promotes [`HEAL_FANOUT`](crate::HEAL_FANOUT) candidates, so ordering the full candidate
 /// set was wasted work; the comparator is a total order (unique
 /// `(request, node)` tie-break), which is what makes the partial selection
 /// bit-identical to the full sort's prefix.

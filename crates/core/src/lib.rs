@@ -36,5 +36,5 @@ pub mod reorder_index;
 pub mod scheduler;
 pub mod volatility;
 
-pub use scheduler::{VMlpConfig, VMlpScheduler};
+pub use scheduler::{VMlpConfig, VMlpScheduler, HEAL_FANOUT};
 pub use volatility::{Volatility, VolatilityBand};

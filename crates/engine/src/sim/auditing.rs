@@ -2,6 +2,7 @@
 //! the live state, plus end-of-run checks against the audit trail.
 
 use super::*;
+use mlp_sched::ADMISSION_SLACK;
 use mlp_trace::{metrics::names, DecisionKind};
 
 /// The per-machine invariant checks of [`Sim::audit_tick`]: occupancy
@@ -124,11 +125,11 @@ impl<'c, D: Driver> Sim<'c, D> {
                 continue;
             }
             let remaining_ms = rec.deadline.since(rec.at).as_millis_f64();
-            if o.cfg.admission_slack * rec.ideal_cp_ms > remaining_ms + 1e-6 {
+            if ADMISSION_SLACK * rec.ideal_cp_ms > remaining_ms + 1e-6 {
                 violations.push(format!(
                     "request {} admitted infeasibly: slack*cp = {} ms > {} ms to deadline",
                     rec.request.0,
-                    o.cfg.admission_slack * rec.ideal_cp_ms,
+                    ADMISSION_SLACK * rec.ideal_cp_ms,
                     remaining_ms
                 ));
             }

@@ -25,6 +25,7 @@ pub use baselines::{CurSched, FairSched, FullProfile, PartProfile};
 pub use overload::{
     pressure_signal, AdmissionRecord, AdmissionVerdict, BreakerBank, BreakerState,
     BreakerTransition, BrownoutController, OverloadConfig, OverloadRuntime, RetryBudget,
+    ADMISSION_SLACK, RETRY_BURST, RETRY_RATE_PER_S,
 };
 pub use plan::{NodePlan, RequestInfo, RequestPlan};
 pub use scheduler::{HealingAction, LateInfo, NodeFailure, PlanEnv, Scheduler, SchedulerCtx};

@@ -6,19 +6,15 @@
 //! guarantees in `tests/determinism.rs`.
 
 use mlp_model::ServiceId;
-use mlp_sched::{BreakerBank, BreakerState, BrownoutController, OverloadConfig, RetryBudget};
+use mlp_sched::{BreakerBank, BreakerState, BrownoutController, RetryBudget};
 use mlp_sim::SimTime;
 use proptest::prelude::*;
 
-/// A breaker config twitchy enough that random sequences actually walk
-/// the whole state machine (trip, cool down, probe, recover).
-fn breaker_cfg() -> OverloadConfig {
-    let mut o = OverloadConfig::flash_crowd(3.0, 1.0, 2.0);
-    o.breaker_min_samples = 4;
-    o.breaker_failure_rate = 0.5;
-    o.breaker_open_ms = 5.0;
-    o.breaker_half_open_probes = 2;
-    o
+/// A breaker bank twitchy enough that random sequences actually walk the
+/// whole state machine (trip, cool down, probe, recover): 4 samples, a
+/// 50% failure rate, 5 ms open, 2 probes.
+fn twitchy_bank() -> BreakerBank {
+    BreakerBank::new(4, 0.5, 5.0, 2)
 }
 
 /// One scripted breaker-bank operation. Times are deltas so the replayed
@@ -54,8 +50,7 @@ fn run_bank(
     Vec<BreakerState>,
     u64,
 ) {
-    let cfg = breaker_cfg();
-    let mut bank = BreakerBank::new(&cfg);
+    let mut bank = twitchy_bank();
     let mut now = 0u64;
     let mut gates = Vec::new();
     let mut ticked = Vec::new();
@@ -163,8 +158,7 @@ proptest! {
         pressures in proptest::collection::vec(0.0f64..1.5, 1..300),
     ) {
         let run = |ps: &[f64]| {
-            let cfg = OverloadConfig::flash_crowd(3.0, 1.0, 2.0);
-            let mut ctl = BrownoutController::new(&cfg);
+            let mut ctl = BrownoutController::new([0.5, 0.75, 0.9], 0.1);
             let mut moves = Vec::new();
             for &p in ps {
                 if let Some((from, to)) = ctl.on_tick(p) {

@@ -3,6 +3,7 @@
 //! breaking resource accounting.
 
 use std::collections::HashMap;
+use v_mlp::engine::config::{DRAIN_FACTOR, SAMPLE_PERIOD_S};
 use v_mlp::prelude::*;
 use v_mlp::sim::SimTime;
 use v_mlp::trace::RequestId;
@@ -116,7 +117,7 @@ fn completed_requests_have_all_spans() {
 fn utilization_series_covers_horizon() {
     let (out, _) = run_raw("cursched", 606);
     let cfg = ExperimentConfig::smoke("cursched");
-    let expected = (cfg.horizon_s / cfg.sample_period_s) as usize;
+    let expected = (cfg.horizon_s / SAMPLE_PERIOD_S) as usize;
     assert!(
         out.utilization.len() + 1 >= expected,
         "only {} utilization samples, expected ≈{expected}",
@@ -164,18 +165,17 @@ fn saturated_runs_terminate_and_account() {
 #[test]
 fn drain_wall_caps_run_length() {
     // Even with an absurd backlog, no request record can end after the
-    // hard cap (horizon × drain_factor).
+    // hard cap (horizon × DRAIN_FACTOR).
     let cfg = ExperimentConfig {
         machines: 2,
         max_rate: 80.0,
         horizon_s: 3.0,
         warmup_cases: 10,
-        drain_factor: 2.0,
         ..ExperimentConfig::paper_default("fullprofile")
     }
     .with_seed(37);
     let (_, out) = Experiment::from_config(cfg.clone()).run_full().unwrap();
-    let wall = SimTime::from_secs_f64(cfg.horizon_s * cfg.drain_factor);
+    let wall = SimTime::from_secs_f64(cfg.horizon_s * DRAIN_FACTOR);
     for rec in out.collector.requests() {
         assert!(rec.end <= wall, "request finished after the drain wall");
     }
