@@ -8,7 +8,7 @@
 //! memcpy that grows with the fleet.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mlp_cluster::{Cluster, ShardPolicy};
+use mlp_cluster::Cluster;
 use mlp_core::VMlpScheduler;
 use mlp_engine::profiling::warm_profiles;
 use mlp_model::{RequestCatalog, ResourceVector};
@@ -41,7 +41,7 @@ fn bench_kernel_tick(c: &mut Criterion) {
 
     for &shards in &[1usize, 16, 64] {
         let base = Cluster::homogeneous(shards * 16, ResourceVector::new(2.4, 2_500.0, 350.0))
-            .with_shards(shards, ShardPolicy::RoundRobin);
+            .with_shards(shards);
         let id = BenchmarkId::from_parameter(format!("s{shards}"));
         g.bench_with_input(id, &shards, |b, _| {
             b.iter(|| {

@@ -13,7 +13,6 @@
 //! recorded.
 
 use crate::scale::Scale;
-use mlp_cluster::ShardPolicy;
 use mlp_engine::config::ExperimentConfig;
 use mlp_engine::experiment::Experiment;
 use mlp_engine::report;
@@ -82,7 +81,7 @@ pub fn config_for(machines: usize, seed: u64) -> ExperimentConfig {
         ..ExperimentConfig::paper_default("vmlp")
     }
     .with_seed(seed)
-    .with_shards(shards_for(machines), ShardPolicy::RoundRobin)
+    .with_shards(shards_for(machines))
     .with_auditor(true)
 }
 

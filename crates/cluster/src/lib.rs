@@ -20,4 +20,4 @@ pub use controller::ControllerTool;
 pub use ledger::ResourceLedger;
 pub use machine::{Cluster, GrantId, Machine, MachineId};
 pub use pool::ShardPool;
-pub use shard::{ShardId, ShardMap, ShardPolicy};
+pub use shard::{ShardId, ShardMap};

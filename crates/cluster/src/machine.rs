@@ -1,7 +1,7 @@
 //! Machines and the simulated cluster.
 
 use crate::ledger::ResourceLedger;
-use crate::shard::{ShardId, ShardMap, ShardPolicy};
+use crate::shard::{ShardId, ShardMap};
 use mlp_model::{ResourceKind, ResourceVector};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -220,12 +220,12 @@ impl Cluster {
         Cluster::heterogeneous(caps)
     }
 
-    /// Re-partitions the cluster into `k` shards under `policy`. `k` is
+    /// Re-partitions the cluster into `k` round-robin shards. `k` is
     /// clamped to the machine count (no empty shards); `k = 1` restores
     /// the unsharded default. Builder-style so constructors chain:
-    /// `Cluster::homogeneous(256, cap).with_shards(16, ShardPolicy::RoundRobin)`.
-    pub fn with_shards(mut self, k: usize, policy: ShardPolicy) -> Self {
-        self.shards = ShardMap::build(&self.machines, k, policy);
+    /// `Cluster::homogeneous(256, cap).with_shards(16)`.
+    pub fn with_shards(mut self, k: usize) -> Self {
+        self.shards = ShardMap::build(&self.machines, k);
         self
     }
 
@@ -523,8 +523,7 @@ mod tests {
 
     #[test]
     fn with_shards_partitions_and_aggregates() {
-        let mut c =
-            Cluster::homogeneous(8, rv(4.0, 1000.0, 100.0)).with_shards(4, ShardPolicy::RoundRobin);
+        let mut c = Cluster::homogeneous(8, rv(4.0, 1000.0, 100.0)).with_shards(4);
         assert_eq!(c.shard_count(), 4);
         assert_eq!(c.shard_members(ShardId(1)), &[MachineId(1), MachineId(5)]);
         assert_eq!(c.shard_capacity(ShardId(1)), rv(8.0, 2000.0, 200.0));
@@ -538,8 +537,7 @@ mod tests {
 
     #[test]
     fn shard_scan_order_starts_at_home() {
-        let c =
-            Cluster::homogeneous(9, rv(4.0, 1000.0, 100.0)).with_shards(3, ShardPolicy::RoundRobin);
+        let c = Cluster::homogeneous(9, rv(4.0, 1000.0, 100.0)).with_shards(3);
         let home = c.home_shard(7); // 7 % 3 == 1
         assert_eq!(home, ShardId(1));
         let order: Vec<u32> = c.shard_scan_order(home).map(|s| s.0).collect();

@@ -7,8 +7,9 @@
 //! node*, which at 1024 machines dominates the scheduling round. The
 //! shard map fixes the asymptotics without changing semantics:
 //!
-//! - every machine belongs to exactly one shard (a strict partition,
-//!   cross-checked by the engine's invariant auditor);
+//! - every machine belongs to exactly one shard, machine `i` to shard
+//!   `i mod K` (a strict partition, cross-checked by the engine's
+//!   invariant auditor);
 //! - each request gets a deterministic *home shard* (`request id mod K`),
 //!   so repeated runs shard identically;
 //! - placement scans the home shard first and *overflows* to the other
@@ -26,28 +27,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ShardId(pub u32);
 
-/// How machines are partitioned into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardPolicy {
-    /// Machine `i` goes to shard `i mod K`. With a homogeneous fleet this
-    /// is also capacity-balanced, and it keeps shard membership stable as
-    /// clusters grow (machine ids are dense).
-    RoundRobin,
-    /// Greedy balance on total capacity share: machines are taken largest
-    /// first and each goes to the currently lightest shard. Heterogeneous
-    /// fleets (two-tier old/new generations) get shards of near-equal
-    /// aggregate capacity instead of near-equal machine count.
-    CapacityBalanced,
-}
-
-impl Default for ShardPolicy {
-    /// Round-robin: capacity-neutral on homogeneous fleets and stable as
-    /// the cluster grows.
-    fn default() -> Self {
-        ShardPolicy::RoundRobin
-    }
-}
-
 /// The machine → shard partition plus its inverse, with per-shard
 /// aggregate capacity maintained for scheduling heuristics and metrics.
 #[derive(Debug, Clone)]
@@ -59,74 +38,35 @@ pub struct ShardMap {
     members: Vec<Vec<MachineId>>,
     /// Aggregate capacity per shard (sum of member capacities).
     capacity: Vec<ResourceVector>,
-    policy: ShardPolicy,
-}
-
-/// A machine's capacity as a dimensionless share of the cluster total:
-/// the mean of its per-kind fractions. Used only to balance shards, so
-/// any monotone scalarization works; this one is unit-free and treats the
-/// three resource kinds symmetrically.
-fn capacity_share(m: &ResourceVector, total: &ResourceVector) -> f64 {
-    let frac = |c: f64, t: f64| if t > 0.0 { c / t } else { 0.0 };
-    (frac(m.cpu, total.cpu) + frac(m.mem, total.mem) + frac(m.io, total.io)) / 3.0
 }
 
 impl ShardMap {
-    /// Partitions `machines` into `k` shards under `policy`. `k` is
-    /// clamped to `[1, machines.len().max(1)]` — more shards than
-    /// machines would leave empty shards with no scheduling value.
-    pub fn build(machines: &[Machine], k: usize, policy: ShardPolicy) -> Self {
+    /// Partitions `machines` into `k` shards round-robin: machine `i`
+    /// joins shard `i mod k`. With a homogeneous fleet this is also
+    /// capacity-balanced, and it keeps shard membership stable as clusters
+    /// grow (machine ids are dense). `k` is clamped to
+    /// `[1, machines.len().max(1)]` — more shards than machines would
+    /// leave empty shards with no scheduling value.
+    pub fn build(machines: &[Machine], k: usize) -> Self {
         let k = k.clamp(1, machines.len().max(1));
         let mut shard_of = vec![ShardId(0); machines.len()];
         let mut members: Vec<Vec<MachineId>> = vec![Vec::new(); k];
         let mut capacity = vec![ResourceVector::ZERO; k];
-
-        match policy {
-            ShardPolicy::RoundRobin => {
-                for (i, m) in machines.iter().enumerate() {
-                    let s = i % k;
-                    shard_of[i] = ShardId(s as u32);
-                    capacity[s] += m.capacity;
-                }
-            }
-            ShardPolicy::CapacityBalanced => {
-                let total = machines.iter().fold(ResourceVector::ZERO, |acc, m| acc + m.capacity);
-                // Largest machine first; ties break on ascending id so the
-                // partition is deterministic.
-                let mut order: Vec<usize> = (0..machines.len()).collect();
-                order.sort_by(|&a, &b| {
-                    let (sa, sb) = (
-                        capacity_share(&machines[a].capacity, &total),
-                        capacity_share(&machines[b].capacity, &total),
-                    );
-                    sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-                });
-                let mut load = vec![0.0f64; k];
-                for i in order {
-                    // Lightest shard wins; ties break on the lowest shard id.
-                    let s = (0..k)
-                        .min_by(|&a, &b| {
-                            load[a]
-                                .partial_cmp(&load[b])
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(a.cmp(&b))
-                        })
-                        .expect("k >= 1");
-                    shard_of[i] = ShardId(s as u32);
-                    load[s] += capacity_share(&machines[i].capacity, &total);
-                    capacity[s] += machines[i].capacity;
-                }
-            }
+        for (i, m) in machines.iter().enumerate() {
+            let s = i % k;
+            shard_of[i] = ShardId(s as u32);
+            capacity[s] += m.capacity;
         }
+
         for (i, &s) in shard_of.iter().enumerate() {
             members[s.0 as usize].push(MachineId(i as u32));
         }
-        ShardMap { shard_of, members, capacity, policy }
+        ShardMap { shard_of, members, capacity }
     }
 
     /// A single shard holding every machine — the unsharded default.
     pub fn single(machines: &[Machine]) -> Self {
-        Self::build(machines, 1, ShardPolicy::RoundRobin)
+        Self::build(machines, 1)
     }
 
     /// Number of shards (≥ 1 whenever the cluster is non-empty).
@@ -137,11 +77,6 @@ impl ShardMap {
     /// Whether the map has no shards (empty cluster).
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// The partition policy this map was built with.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
     }
 
     /// Shard of a machine.
@@ -252,7 +187,7 @@ mod tests {
     #[test]
     fn round_robin_partitions_evenly() {
         let ms = homogeneous(10);
-        let map = ShardMap::build(&ms, 3, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 3);
         assert_eq!(map.len(), 3);
         assert_eq!(map.members(ShardId(0)).len(), 4); // 0,3,6,9
         assert_eq!(map.members(ShardId(1)).len(), 3);
@@ -262,42 +197,18 @@ mod tests {
     }
 
     #[test]
-    fn capacity_balanced_evens_out_heterogeneous_fleets() {
-        // Two big machines (at even ids, so round-robin lumps them into
-        // one shard) and four small ones into two shards: capacity
-        // balancing should put one big in each shard.
-        let ms = fleet(&[
-            (8.0, 2000.0, 200.0),
-            (2.0, 500.0, 50.0),
-            (8.0, 2000.0, 200.0),
-            (2.0, 500.0, 50.0),
-            (2.0, 500.0, 50.0),
-            (2.0, 500.0, 50.0),
-        ]);
-        let map = ShardMap::build(&ms, 2, ShardPolicy::CapacityBalanced);
-        let c0 = map.capacity(ShardId(0));
-        let c1 = map.capacity(ShardId(1));
-        assert!((c0.cpu - c1.cpu).abs() < 1e-9, "cpu split {} vs {}", c0.cpu, c1.cpu);
-        assert!(map.check_partition(&ms).is_ok());
-        // The round-robin split of the same fleet is lopsided (ids 0 and 2
-        // and 4 together), which is exactly what the policy exists to fix.
-        let rr = ShardMap::build(&ms, 2, ShardPolicy::RoundRobin);
-        assert!((rr.capacity(ShardId(0)).cpu - rr.capacity(ShardId(1)).cpu).abs() > 1.0);
-    }
-
-    #[test]
     fn shard_count_clamped_to_machines() {
         let ms = homogeneous(3);
-        let map = ShardMap::build(&ms, 10, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 10);
         assert_eq!(map.len(), 3, "no empty shards");
-        let map = ShardMap::build(&ms, 0, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 0);
         assert_eq!(map.len(), 1, "zero clamps to one shard");
     }
 
     #[test]
     fn home_shard_is_deterministic_and_in_range() {
         let ms = homogeneous(8);
-        let map = ShardMap::build(&ms, 4, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 4);
         for id in 0..100u64 {
             let h = map.home_shard(id);
             assert!((h.0 as usize) < map.len());
@@ -309,7 +220,7 @@ mod tests {
     #[test]
     fn scan_order_rotates_from_home() {
         let ms = homogeneous(8);
-        let map = ShardMap::build(&ms, 4, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 4);
         let order: Vec<u32> = map.scan_order(ShardId(2)).map(|s| s.0).collect();
         assert_eq!(order, vec![2, 3, 0, 1]);
     }
@@ -317,7 +228,7 @@ mod tests {
     #[test]
     fn check_partition_catches_mismatched_cluster() {
         let ms = homogeneous(4);
-        let map = ShardMap::build(&ms, 2, ShardPolicy::RoundRobin);
+        let map = ShardMap::build(&ms, 2);
         let bigger = homogeneous(5);
         assert!(map.check_partition(&bigger).is_err());
     }

@@ -107,12 +107,6 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Replaces the config's scheduling shards setting.
-    pub fn shards(mut self, k: usize, policy: mlp_cluster::ShardPolicy) -> Self {
-        self.config = self.config.with_shards(k, policy);
-        self
-    }
-
     /// The config as currently built.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
@@ -136,15 +130,6 @@ impl<'a> Experiment<'a> {
         }
         if !(c.horizon_s.is_finite() && c.horizon_s > 0.0) {
             return bad(format!("horizon_s must be positive and finite, got {}", c.horizon_s));
-        }
-        if !(c.sample_period_s.is_finite() && c.sample_period_s > 0.0) {
-            return bad(format!(
-                "sample_period_s must be positive and finite, got {}",
-                c.sample_period_s
-            ));
-        }
-        if !(c.drain_factor.is_finite() && c.drain_factor >= 1.0) {
-            return bad(format!("drain_factor must be >= 1, got {}", c.drain_factor));
         }
         if !c.machine_capacity.fits_within(&c.machine_capacity)
             || c.machine_capacity.has_negative()
@@ -175,12 +160,6 @@ impl<'a> Experiment<'a> {
             return bad(format!(
                 "shards ({}) exceeds machines ({}); one shard needs at least one machine",
                 c.shards, c.machines
-            ));
-        }
-        if !(c.ledger_retention_s.is_finite() && c.ledger_retention_s > 0.0) {
-            return bad(format!(
-                "ledger_retention_s must be positive and finite, got {}",
-                c.ledger_retention_s
             ));
         }
         if c.max_requests == Some(0) {
@@ -324,10 +303,9 @@ mod tests {
 
     #[test]
     fn setters_override_config_flags() {
-        let e = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
+        let e = Experiment::from_config(ExperimentConfig::smoke("vmlp").with_shards(2))
             .audit(true)
-            .auditor(false)
-            .shards(2, mlp_cluster::ShardPolicy::CapacityBalanced);
+            .auditor(false);
         assert!(e.config().audit);
         assert!(!e.config().auditor);
         assert_eq!(e.config().shards, 2);
@@ -344,17 +322,15 @@ mod tests {
             (ExperimentConfig { max_rate: 0.0, ..base.clone() }, "max_rate"),
             (ExperimentConfig { max_rate: f64::NAN, ..base.clone() }, "max_rate"),
             (ExperimentConfig { horizon_s: -1.0, ..base.clone() }, "horizon_s"),
-            (ExperimentConfig { sample_period_s: 0.0, ..base.clone() }, "sample_period_s"),
-            (ExperimentConfig { drain_factor: 0.5, ..base.clone() }, "drain_factor"),
             (ExperimentConfig { mix: MixSpec::HighRatio(1.5), ..base.clone() }, "ratio"),
             (base.clone().with_small_tier(999, 0.5), "small_tier"),
-            (base.clone().with_shards(99, mlp_cluster::ShardPolicy::RoundRobin), "shards"),
+            (base.clone().with_shards(99), "shards"),
             (
                 base.clone().with_overload(mlp_sched::OverloadConfig {
-                    admission_slack: 0.5,
+                    max_queue_depth: 0,
                     ..mlp_sched::OverloadConfig::flash_crowd(3.0, 1.0, 2.0)
                 }),
-                "admission_slack",
+                "max_queue_depth",
             ),
             (
                 base.clone().with_overload(mlp_sched::OverloadConfig {

@@ -586,7 +586,6 @@ const VMLP_PARAM_KEYS: &[&str] = &[
     "delay_slot",
     "resource_stretch",
     "trim_reservations",
-    "heal_fanout",
     "dt_policy",
 ];
 
@@ -626,7 +625,6 @@ fn vmlp_config_from_params(params: &SchedulerParams) -> Result<VMlpConfig, Strin
     cfg.delay_slot = params.bool_or("delay_slot", cfg.delay_slot)?;
     cfg.resource_stretch = params.bool_or("resource_stretch", cfg.resource_stretch)?;
     cfg.trim_reservations = params.bool_or("trim_reservations", cfg.trim_reservations)?;
-    cfg.heal_fanout = params.usize_or("heal_fanout", cfg.heal_fanout)?;
     cfg.dt_policy = dt_policy_from_str(params.str_or("dt_policy", dt_policy_str(cfg.dt_policy))?)?;
     Ok(cfg)
 }
@@ -655,9 +653,6 @@ fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
     }
     if cfg.trim_reservations != paper.trim_reservations {
         p = p.with("trim_reservations", cfg.trim_reservations);
-    }
-    if cfg.heal_fanout != paper.heal_fanout {
-        p = p.with("heal_fanout", cfg.heal_fanout);
     }
     if cfg.dt_policy != paper.dt_policy {
         p = p.with("dt_policy", dt_policy_str(cfg.dt_policy));
@@ -824,8 +819,8 @@ mod tests {
     fn ablated_vmlp_gets_a_descriptive_display_name() {
         let spec = SchemeSpec::parse("vmlp:healing=off").unwrap();
         assert_eq!(spec.display_name(), "v-MLP[healing=off]");
-        let spec = SchemeSpec::parse("vmlp:reorder=off,heal_fanout=4").unwrap();
-        assert_eq!(spec.display_name(), "v-MLP[heal_fanout=4,reorder=off]");
+        let spec = SchemeSpec::parse("vmlp:reorder=off,dt_policy=always-p99").unwrap();
+        assert_eq!(spec.display_name(), "v-MLP[dt_policy=always-p99,reorder=off]");
         let spec = SchemeSpec::parse("searchsched:iters=24").unwrap();
         assert_eq!(spec.display_name(), "SearchSched[iters=24]");
     }
@@ -852,7 +847,7 @@ mod tests {
     fn bad_params_name_the_offending_key() {
         let cases = [
             ("vmlp:typo=on", "typo"),
-            ("vmlp:heal_fanout=nope", "heal_fanout"),
+            ("vmlp:reorder=nope", "reorder"),
             ("vmlp:dt_policy=sometimes", "dt_policy"),
             ("fairsched:anything=1", "anything"),
             ("searchsched:margin=-1.0", "margin"),
@@ -871,7 +866,7 @@ mod tests {
     fn params_serde_round_trip() {
         let params = SchedulerParams::new()
             .with("healing", false)
-            .with("heal_fanout", 4usize)
+            .with("iters", 4usize)
             .with("margin", 1.5)
             .with("dt_policy", "always-p99");
         let js = serde_json::to_string(&params).unwrap();
@@ -881,7 +876,7 @@ mod tests {
 
     #[test]
     fn spec_serde_round_trip_and_legacy_forms() {
-        let spec = SchemeSpec::parse("vmlp:healing=off,heal_fanout=4").unwrap();
+        let spec = SchemeSpec::parse("vmlp:healing=off,dt_policy=always-mean").unwrap();
         let js = serde_json::to_string(&spec).unwrap();
         let back: SchemeSpec = serde_json::from_str(&js).unwrap();
         assert_eq!(back, spec);
@@ -899,10 +894,12 @@ mod tests {
         let js = format!("{{\"VMlpCustom\":{cfg}}}");
         let back: SchemeSpec = serde_json::from_str(&js).unwrap();
         assert_eq!(back, SchemeSpec::parse("vmlp:healing=off").unwrap());
-        // One written while the sort-based round was still selectable
-        // carries its flag; the field is ignored, the rest loads.
+        // One written while the sort-based round was still selectable, or
+        // while the heal fanout was a field, carries those keys; they are
+        // ignored, the rest loads.
         let cfg = cfg.strip_suffix('}').expect("config serializes to an object");
-        let js = format!("{{\"VMlpCustom\":{cfg},\"unindexed_reorder\":false}}}}");
+        let js =
+            format!("{{\"VMlpCustom\":{cfg},\"unindexed_reorder\":false,\"heal_fanout\":5}}}}");
         let back: SchemeSpec = serde_json::from_str(&js).unwrap();
         assert_eq!(back, SchemeSpec::parse("vmlp:healing=off").unwrap());
     }
@@ -913,7 +910,7 @@ mod tests {
             VMlpConfig::paper(),
             VMlpConfig::without_healing(),
             VMlpConfig { reorder: false, ..VMlpConfig::paper() },
-            VMlpConfig { dt_policy: DtPolicy::AlwaysP99, heal_fanout: 5, ..VMlpConfig::paper() },
+            VMlpConfig { dt_policy: DtPolicy::AlwaysP99, ..VMlpConfig::paper() },
             VMlpConfig { delay_slot: false, ..VMlpConfig::paper() },
         ];
         for cfg in cfgs {

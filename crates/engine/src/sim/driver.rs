@@ -104,7 +104,7 @@ pub(crate) struct SimDriver<'s> {
     /// The next arrival pulled from the source but not yet delivered
     /// (lookahead for timestamp interleaving with queued events).
     pending: Option<Arrival>,
-    /// Hard wall on simulated time (`horizon × drain_factor`).
+    /// Hard wall on simulated time (`horizon × DRAIN_FACTOR`).
     hard_cap: SimTime,
 }
 

@@ -18,9 +18,7 @@ use std::ops::ControlFlow;
 
 impl<'c, D: Driver> Sim<'c, D> {
     pub(super) fn run(&mut self, scheduler: &mut dyn Scheduler, rng: &mut SimRng) -> SimOutput {
-        if self.sample_period > SimDuration::ZERO {
-            self.driver.schedule(SimTime::ZERO + self.sample_period, Event::Sample);
-        }
+        self.driver.schedule(SimTime::ZERO + sample_period(), Event::Sample);
         for o in self.faults.outages().to_vec() {
             self.driver.schedule(o.down_at, Event::MachineDown(o.machine));
             self.driver.schedule(o.up_at, Event::MachineUp(o.machine));
@@ -98,7 +96,7 @@ impl<'c, D: Driver> Sim<'c, D> {
                 self.run_round(now, scheduler);
                 let more_work =
                     scheduler.waiting() > 0 || self.table.live() > 0 || self.driver.has_pending();
-                let next = now + self.sample_period;
+                let next = now + sample_period();
                 if more_work && next <= self.hard_cap {
                     self.driver.schedule(next, Event::Sample);
                 }
@@ -237,10 +235,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             + self.shed_requests as usize;
         SimOutput {
             collector: std::mem::take(&mut self.collector),
-            utilization: std::mem::replace(
-                &mut self.utilization,
-                TimeSeries::new(self.sample_period.as_secs_f64().max(1e-9)),
-            ),
+            utilization: std::mem::replace(&mut self.utilization, TimeSeries::new(SAMPLE_PERIOD_S)),
             metrics: self.metrics.clone(),
             unfinished,
             abandoned: self.abandoned,

@@ -21,13 +21,10 @@ impl<'c, D: Driver> Sim<'c, D> {
         if now <= self.horizon {
             self.utilization.push(self.cluster.utilization());
         }
-        // Retention window is a config knob (`ledger_retention_s`); the
-        // default 2 s matches the historical hardcoded window, and the
-        // auditor cross-checks that a tighter window never breaks
-        // reservation consistency. Long runs assert on the cluster's
-        // largest timeline (a high-water mark across ticks) and the
-        // per-tick total to prove retained breakpoints stay bounded.
-        let cutoff = now.saturating_sub(self.ledger_retention);
+        // Prune to the `LEDGER_RETENTION_S` window. Long runs assert on the
+        // cluster's largest timeline (a high-water mark across ticks) and
+        // the per-tick total to prove retained breakpoints stay bounded.
+        let cutoff = now.saturating_sub(SimDuration::from_secs_f64(LEDGER_RETENTION_S));
         let (mut total, mut largest) = (0usize, 0usize);
         for m in self.cluster.machines_mut() {
             m.ledger.prune_before(cutoff);

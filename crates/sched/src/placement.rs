@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn placement_stays_in_home_shard_when_it_fits() {
         let (mut cluster, cat, net, prof, met) = harness();
-        cluster = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        cluster = cluster.with_shards(2);
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn saturated_home_shard_overflows_to_neighbor() {
         let (mut cluster, cat, net, prof, met) = harness();
-        cluster = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        cluster = cluster.with_shards(2);
         // Fill every ledger in shard 1 (odd machine ids) for a long time.
         for m in cluster.machines_mut() {
             if m.id.0 % 2 == 1 {
@@ -529,7 +529,7 @@ mod tests {
         // so the home-shard-only plan must be the byte-identical plan with
         // the same ledger writes.
         let (cluster, cat, net, prof, met) = harness();
-        let mut full = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        let mut full = cluster.with_shards(2);
         let mut local = full.clone();
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
@@ -555,7 +555,7 @@ mod tests {
     #[test]
     fn shard_local_plan_rolls_back_on_failure() {
         let (cluster, cat, net, prof, met) = harness();
-        let mut local = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        let mut local = cluster.with_shards(2);
         // Saturate shard 1 (odd ids) so the home-shard-only plan must fail,
         // though shard 0 has room.
         for m in local.machines_mut() {

@@ -5,7 +5,7 @@
 //! slot, ties broken by strictly greater headroom (admission) or by scan
 //! order (crash re-planning). The reference lives here, in test code only.
 
-use mlp_cluster::{Cluster, Machine, MachineId, ShardId, ShardPolicy};
+use mlp_cluster::{Cluster, Machine, MachineId, ShardId};
 use mlp_model::{RequestCatalog, ResourceVector};
 use mlp_net::NetworkModel;
 use mlp_sched::placement::{earliest_slot, earliest_slot_in_cluster, SlotTie};
@@ -100,7 +100,7 @@ fn arb_cluster() -> impl Strategy<Value = Cluster> {
             }
         }
         let k = shards.min(cluster.len());
-        cluster.with_shards(k, ShardPolicy::RoundRobin)
+        cluster.with_shards(k)
     })
 }
 

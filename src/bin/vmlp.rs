@@ -36,8 +36,8 @@ FLAGS:
     --horizon=S       run length, seconds     (default 60)
     --seed=N          RNG seed                (default 2022)
     --small-tier=N:S  heterogeneous fleet: N machines at scale S (e.g. 5:0.5)
-    --shards=K        partition the cluster into K scheduling shards (default 1)
-    --shard-policy=P  rr | capacity   (shard assignment, default rr)
+    --shards=K        partition the cluster into K round-robin scheduling
+                      shards (default 1)
     --config=FILE     load a JSON ExperimentConfig instead of flags
     --out=FILE        save the result as JSON (traceio format)
     --audit=FILE      record the decision-audit trail as JSONL and run the
@@ -333,11 +333,6 @@ fn main() -> ExitCode {
             "--shards" => match value.parse() {
                 Ok(k) => config.shards = k,
                 Err(_) => return bad("shards must be an integer"),
-            },
-            "--shard-policy" => match value.to_ascii_lowercase().as_str() {
-                "rr" | "round-robin" => config.shard_policy = ShardPolicy::RoundRobin,
-                "capacity" | "balanced" => config.shard_policy = ShardPolicy::CapacityBalanced,
-                _ => return bad(&format!("unknown shard policy '{value}'")),
             },
             "--config" => match Experiment::from_config_file(Path::new(value)) {
                 Ok(e) => config = e.config().clone(),

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use mlp_sched::{SearchConfig, SearchSched};
 
     // The simulated substrate: workloads, requests, cluster sharding.
-    pub use mlp_cluster::{Cluster, ShardId, ShardMap, ShardPolicy, ShardPool};
+    pub use mlp_cluster::{Cluster, ShardId, ShardMap, ShardPool};
     pub use mlp_model::benchmarks;
     pub use mlp_model::requests::RequestCatalog;
     pub use mlp_model::VolatilityClass;

@@ -97,7 +97,7 @@ fn disabled_faults_leave_runs_byte_identical() {
 #[test]
 fn disabled_overload_leaves_runs_byte_identical() {
     // A disabled OverloadConfig must be inert no matter what junk the
-    // tuning fields carry: the runtime (and its RNG fork) is only
+    // resilience, surge and queue-cap fields carry: the runtime (and its RNG fork) is only
     // constructed when `enabled`, so the run must be byte-identical to
     // the plain config's.
     let junk = OverloadConfig {
@@ -108,18 +108,6 @@ fn disabled_overload_leaves_runs_byte_identical() {
         surge_duration_s: 99.0,
         surge_ramp_s: 1.0,
         max_queue_depth: 1,
-        admission_slack: 7.0,
-        retry_rate_per_s: 0.001,
-        retry_burst: 0.001,
-        retry_base_backoff_ms: 500.0,
-        breaker_min_samples: 1,
-        breaker_failure_rate: 0.01,
-        breaker_open_ms: 60_000.0,
-        breaker_half_open_probes: 1,
-        tier1_pressure: 0.2,
-        tier2_pressure: 0.3,
-        tier3_pressure: 0.4,
-        tier_hysteresis: 0.05,
     };
     for scheme in ["vmlp", "cursched"] {
         let plain = ExperimentConfig::smoke(scheme).with_seed(77);
@@ -237,37 +225,39 @@ fn vmlp_schedules_are_pinned() {
     // runs in place on the kernel thread; that change left all twenty
     // digests as they were. Removing the inert `workers` config field then
     // moved each one only by dropping `"workers":1,` from the serialized
-    // result: every constant below equals the previous one recomputed on
-    // that stripped JSON.
+    // result: every constant equalled the previous one recomputed on that
+    // stripped JSON. Turning the shard policy, the three kernel timings
+    // and twelve overload tunings into constants left every digest as it
+    // was while the fields still existed; deleting the fields moved each
+    // one only by dropping those sixteen members from the serialized
+    // config, and every constant below equals the previous one recomputed
+    // with them removed.
     use std::hash::Hasher;
     use v_mlp::sim::FastHasher;
     const PINS: [(&str, usize, f64, u64); 20] = [
-        ("vmlp", 1, 40.0, 0x3b3b_f21f_5ae0_44df),
-        ("vmlp", 4, 40.0, 0xcacf_fa06_6830_e339),
-        ("vmlp:reorder=off", 1, 40.0, 0xf3bc_40eb_2a06_c8c9),
-        ("vmlp:reorder=off", 4, 40.0, 0x4e0f_d17d_6d49_77a8),
-        ("vmlp:queue_switch=off", 1, 40.0, 0xa851_92a9_509b_0ffb),
-        ("vmlp:queue_switch=off", 4, 40.0, 0xd93d_70fb_0b3f_37b6),
-        ("vmlp", 1, 400.0, 0x0c63_0042_31da_0d19),
-        ("vmlp", 4, 400.0, 0x2a86_83a3_a8b0_b464),
-        ("vmlp:reorder=off", 1, 400.0, 0x8411_8e94_5075_8542),
-        ("vmlp:reorder=off", 4, 400.0, 0x3e49_0f4c_bf51_9694),
-        ("vmlp:queue_switch=off", 1, 400.0, 0xf35f_37c7_2b4f_b1f9),
-        ("vmlp:queue_switch=off", 4, 400.0, 0x109a_ec39_4136_77ac),
-        ("FairSched", 1, 40.0, 0xde2b_e0e0_4c2f_3008),
-        ("FairSched", 4, 40.0, 0xd4e0_71da_1e04_9993),
-        ("CurSched", 1, 40.0, 0x0bd0_ea7e_b397_02a9),
-        ("CurSched", 4, 40.0, 0xcf27_efa7_d1b1_2a18),
-        ("PartProfile", 1, 40.0, 0xa6a3_b66d_3a5e_73f1),
-        ("PartProfile", 4, 40.0, 0x6c14_4718_0571_451b),
-        ("FullProfile", 1, 40.0, 0xaecf_7f05_54d6_7dfa),
-        ("FullProfile", 4, 40.0, 0x095e_e59d_c438_0397),
+        ("vmlp", 1, 40.0, 0xf404_a2c2_e4b5_928a),
+        ("vmlp", 4, 40.0, 0x73e5_78aa_31b0_8256),
+        ("vmlp:reorder=off", 1, 40.0, 0xa59b_6b05_0e82_41ab),
+        ("vmlp:reorder=off", 4, 40.0, 0x6a1d_06ad_4502_55a9),
+        ("vmlp:queue_switch=off", 1, 40.0, 0x2cbe_7b92_c7eb_8903),
+        ("vmlp:queue_switch=off", 4, 40.0, 0x3f52_6916_1819_5859),
+        ("vmlp", 1, 400.0, 0xe6df_f6ea_91c6_a914),
+        ("vmlp", 4, 400.0, 0xc2d1_e74c_2a3c_ef8b),
+        ("vmlp:reorder=off", 1, 400.0, 0xb154_a24f_8840_df1d),
+        ("vmlp:reorder=off", 4, 400.0, 0x5ee7_1df2_a20d_c417),
+        ("vmlp:queue_switch=off", 1, 400.0, 0x039d_9e88_5859_45d5),
+        ("vmlp:queue_switch=off", 4, 400.0, 0xbe96_9b2b_b529_516b),
+        ("FairSched", 1, 40.0, 0x1f58_ffc2_53da_5e4b),
+        ("FairSched", 4, 40.0, 0xe238_9fab_b5df_a6a8),
+        ("CurSched", 1, 40.0, 0xdffd_bd2f_b1db_b089),
+        ("CurSched", 4, 40.0, 0x227b_8029_ce2b_b237),
+        ("PartProfile", 1, 40.0, 0xa698_4d3c_7cb8_2172),
+        ("PartProfile", 4, 40.0, 0x8313_3f6e_316f_423f),
+        ("FullProfile", 1, 40.0, 0x4e04_4bd7_6469_ddd9),
+        ("FullProfile", 4, 40.0, 0xcf69_c022_3fbe_185e),
     ];
     for (spec, shards, rate, pinned) in PINS {
-        let cfg = ExperimentConfig::smoke("vmlp")
-            .with_seed(17)
-            .with_rate(rate)
-            .with_shards(shards, ShardPolicy::RoundRobin);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(17).with_rate(rate).with_shards(shards);
         let (result, out) = Experiment::from_config(cfg)
             .scheme_spec(spec)
             .expect("spec parses")

@@ -33,32 +33,6 @@ fn run_constant_load(horizon_s: f64) -> (f64, f64) {
 }
 
 #[test]
-fn tighter_retention_window_still_passes_the_auditor() {
-    // The 2 s default retention is a config knob now; a run pruning much
-    // more aggressively (0.5 s) must stay invariant-clean — the auditor
-    // cross-checks reservations against run state every tick, so a window
-    // that pruned still-needed breakpoints would trip it.
-    let cfg =
-        ExperimentConfig::smoke("vmlp").with_seed(11).with_ledger_retention(0.5).with_auditor(true);
-    let catalog = RequestCatalog::paper();
-    let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
-    assert_eq!(r.invariant_violations, 0, "report: {:?}", out.invariant_report);
-    assert!(out.invariant_report.is_none());
-    assert!(r.completed > 0);
-
-    // And the tighter window retains no more than the default one.
-    let default_cfg = ExperimentConfig::smoke("vmlp").with_seed(11).with_auditor(true);
-    let (_, out_default) =
-        Experiment::from_config(default_cfg).catalog(&catalog).run_full().unwrap();
-    let tight_max = out.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap();
-    let default_max = out_default.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap();
-    assert!(
-        tight_max <= default_max,
-        "0.5 s window retained more timeline points ({tight_max}) than the 2 s default ({default_max})"
-    );
-}
-
-#[test]
 fn pruning_bounds_retained_timeline_points() {
     // A reserving scheme under sustained load, run 3× longer: the retained
     // timeline must plateau at the active-window size, not keep growing.

@@ -121,9 +121,11 @@ fn malformed_spec_shapes_are_parse_errors() {
 /// selector) alike.
 #[test]
 fn unknown_params_are_typed_config_errors() {
-    for (spec, key) in
-        [("vmlp:warpdrive=9", "warpdrive"), ("vmlp:unindexed_reorder=true", "unindexed_reorder")]
-    {
+    for (spec, key) in [
+        ("vmlp:warpdrive=9", "warpdrive"),
+        ("vmlp:unindexed_reorder=true", "unindexed_reorder"),
+        ("vmlp:heal_fanout=3", "heal_fanout"),
+    ] {
         let err = match Experiment::from_config(ExperimentConfig::smoke("vmlp")).scheme_spec(spec) {
             Ok(_) => panic!("{spec}: unknown param must be rejected"),
             Err(e) => e,

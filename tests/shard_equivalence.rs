@@ -3,7 +3,7 @@
 //! * `shards = 1` is byte-identical to the unsharded default — for every
 //!   scheme and seed, on every reported metric. Sharding is pure overlay
 //!   structure; a single shard scans machines in exactly the old order.
-//! * `shards > 1` (both policies) never loses requests, never violates an
+//! * `shards > 1` never loses requests, never violates an
 //!   invariant the auditor checks (including the shard-partition check),
 //!   and stays bit-reproducible — including under a crash storm that
 //!   forces the sharded round's cross-shard overflow pass.
@@ -42,9 +42,7 @@ fn one_shard_is_byte_identical_to_unsharded() {
         for seed in [7u64, 2022] {
             let base = ExperimentConfig::smoke(scheme).with_seed(seed);
             let unsharded = Experiment::from_config(base.clone()).run().unwrap();
-            let one_shard = Experiment::from_config(base.with_shards(1, ShardPolicy::RoundRobin))
-                .run()
-                .unwrap();
+            let one_shard = Experiment::from_config(base.with_shards(1)).run().unwrap();
             assert_eq!(one_shard.shard_overflows, 0);
             assert_results_identical(&unsharded, &one_shard, &format!("{scheme} seed={seed}"));
         }
@@ -52,34 +50,28 @@ fn one_shard_is_byte_identical_to_unsharded() {
 }
 
 #[test]
-fn sharded_runs_hold_invariants_under_both_policies() {
+fn sharded_runs_hold_invariants() {
     // Sharded scheduling must stay conservative: every request accounted
     // for, zero auditor violations (the auditor re-checks the shard
-    // partition every sampling tick), for both assignment policies.
+    // partition every sampling tick).
     for scheme in PAPER_SCHEMES {
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityBalanced] {
-            let cfg = ExperimentConfig::smoke(scheme)
-                .with_seed(11)
-                .with_shards(3, policy)
-                .with_auditor(true);
-            let catalog = RequestCatalog::paper();
-            let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
-            let label = format!("{scheme} {policy:?}");
-            assert_eq!(
-                r.invariant_violations, 0,
-                "{label}: auditor flagged violations; report: {:?}",
-                out.invariant_report
-            );
-            assert!(out.invariant_report.is_none(), "{label}");
-            assert!(
-                r.completed + r.unfinished >= r.arrived,
-                "{label}: lost requests ({} + {} < {})",
-                r.completed,
-                r.unfinished,
-                r.arrived
-            );
-            assert!(r.completed > 0, "{label}: nothing completed");
-        }
+        let cfg = ExperimentConfig::smoke(scheme).with_seed(11).with_shards(3).with_auditor(true);
+        let catalog = RequestCatalog::paper();
+        let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
+        assert_eq!(
+            r.invariant_violations, 0,
+            "{scheme}: auditor flagged violations; report: {:?}",
+            out.invariant_report
+        );
+        assert!(out.invariant_report.is_none(), "{scheme}");
+        assert!(
+            r.completed + r.unfinished >= r.arrived,
+            "{scheme}: lost requests ({} + {} < {})",
+            r.completed,
+            r.unfinished,
+            r.arrived
+        );
+        assert!(r.completed > 0, "{scheme}: nothing completed");
     }
 }
 
@@ -88,7 +80,7 @@ fn sharded_runs_publish_per_shard_peak_utilization() {
     // fig_scale reads one `shard_utilization_peak_s<i>` high-water mark per
     // shard into BENCH_sim.json; every shard of a loaded run must carry one
     // in (0, 1].
-    let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4, ShardPolicy::RoundRobin);
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4);
     let (_, out) = Experiment::from_config(cfg).run_full().unwrap();
     for s in 0..4 {
         let peak = out.metrics.gauge(&names::shard_utilization_peak(s));
@@ -98,12 +90,10 @@ fn sharded_runs_publish_per_shard_peak_utilization() {
 
 #[test]
 fn sharded_runs_are_bit_reproducible() {
-    for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityBalanced] {
-        let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4, policy);
-        let a = Experiment::from_config(cfg.clone()).run().unwrap();
-        let b = Experiment::from_config(cfg).run().unwrap();
-        assert_results_identical(&a, &b, &format!("{policy:?}"));
-    }
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4);
+    let a = Experiment::from_config(cfg.clone()).run().unwrap();
+    let b = Experiment::from_config(cfg).run().unwrap();
+    assert_results_identical(&a, &b, "shards=4");
 }
 
 #[test]
@@ -130,7 +120,7 @@ fn unavailable_home_shards_overflow_and_still_account() {
         ..ExperimentConfig::paper_default("vmlp")
     }
     .with_seed(31)
-    .with_shards(8, ShardPolicy::RoundRobin)
+    .with_shards(8)
     .with_faults(storm)
     .with_auditor(true);
     let r = Experiment::from_config(cfg).run().unwrap();
@@ -169,7 +159,7 @@ proptest! {
             ..ExperimentConfig::paper_default("vmlp")
         }
         .with_seed(seed)
-        .with_shards(8, ShardPolicy::RoundRobin)
+        .with_shards(8)
         .with_faults(storm)
         .with_auditor(true);
         let a = Experiment::from_config(cfg.clone()).run().unwrap();
