@@ -10,6 +10,7 @@ fn main() {
         Scale::small()
     };
     let requests = fig_soak::request_target(&scale);
-    let p = fig_soak::data_point("vmlp", requests, 2022);
-    println!("{}: {:.1} µs/req over {} arrivals", p.scheme, p.wall_us_per_req, p.arrived);
+    let (p, wall_ms) = fig_soak::data_point("vmlp", requests, 2022);
+    let us_per_req = wall_ms / p.arrived.max(1) as f64 * 1000.0;
+    println!("{}: {:.1} µs/req over {} arrivals", p.scheme, us_per_req, p.arrived);
 }

@@ -7,7 +7,7 @@
 //! holds them when the clock is real: the exact event-application code
 //! serves live traffic through `mlp-serve`, and the auditor — which knows
 //! nothing about modes — must stay silent while latencies, admission
-//! rounds, and healing all unfold in wall time. The published point is
+//! rounds, and healing all unfold in wall time. The printed point is
 //! sustained throughput plus the client-observed latency distribution,
 //! which at an unsaturated operating point should reproduce the
 //! simulator's own tail (the service times are the same model, only the
@@ -19,7 +19,6 @@ use mlp_serve::loadgen::{self, LoadgenConfig};
 use mlp_serve::{ServeConfig, Server};
 use mlp_trace::metrics::names;
 use mlp_workload::{RateSchedule, WorkloadPattern};
-use serde::Serialize;
 use std::time::Duration;
 
 /// How big the live soak runs at each named scale.
@@ -67,8 +66,10 @@ impl ServeScale {
     }
 }
 
-/// One published live-soak data point.
-#[derive(Debug, Clone, Serialize)]
+/// One live-soak data point. Every measurement in it comes from the wall
+/// clock, so `figs` prints and gates it but keeps it out of
+/// `BENCH_sim.json`.
+#[derive(Debug, Clone)]
 pub struct ServePoint {
     pub scale: String,
     pub machines: usize,

@@ -69,8 +69,10 @@ pub fn audit_run(config: mlp_engine::config::ExperimentConfig, path: &std::path:
 /// Merges one figure's points into the repo-root `BENCH_sim.json` under
 /// `key`, preserving every other figure's key already in the file, so
 /// `fig_scale`, `fig_soak`, `fig_overload`, … coexist in one committed
-/// artifact. Unreadable or corrupt existing contents are discarded rather
-/// than propagated.
+/// artifact. An existing key is replaced where it stands and a new one is
+/// appended, so a rerun that reproduces its points leaves the file
+/// byte-identical. Unreadable or corrupt existing contents are discarded
+/// rather than propagated.
 pub fn merge_bench_json(key: &str, value: serde_json::Value) {
     let path = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json"));
     merge_bench_json_at(path, vec![(key.to_string(), value)]).expect("write BENCH_sim.json");
@@ -87,15 +89,17 @@ pub fn merge_bench_json_at(
     own: Vec<(String, serde_json::Value)>,
 ) -> std::io::Result<()> {
     use serde_json::Value;
-    let mut entries = own;
-    if let Ok(Value::Object(existing)) = std::fs::read_to_string(path)
+    let mut entries = match std::fs::read_to_string(path)
         .map_err(|_| ())
         .and_then(|s| serde_json::from_str::<Value>(&s).map_err(|_| ()))
     {
-        for (k, v) in existing {
-            if !entries.iter().any(|(own_k, _)| *own_k == k) {
-                entries.push((k, v));
-            }
+        Ok(Value::Object(existing)) => existing,
+        _ => Vec::new(),
+    };
+    for (k, v) in own {
+        match entries.iter_mut().find(|(old_k, _)| *old_k == k) {
+            Some(slot) => slot.1 = v,
+            None => entries.push((k, v)),
         }
     }
     let json =
@@ -133,6 +137,14 @@ mod tests {
         let v = read_value(&path);
         assert_eq!(v.get("fig_a"), Some(&Value::Str("two".into())));
         assert_eq!(v.get("fig_b"), Some(&Value::Bool(false)));
+        // An unchanged rerun of the later key leaves it in place and the
+        // file byte-identical.
+        let before = std::fs::read(&path).unwrap();
+        merge_bench_json_at(&path, vec![("fig_b".into(), Value::Bool(false))]).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let Value::Object(entries) = read_value(&path) else { panic!("snapshot is an object") };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["fig_a", "fig_b"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

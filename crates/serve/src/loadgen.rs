@@ -2,12 +2,13 @@
 //!
 //! Replays the paper's workload patterns (L1–L3, plus `const` and the
 //! rate-schedule overlays such as [`RateSchedule::diurnal_sine`]) as real
-//! wall-clock traffic: a Lewis–Shedler thinning sampler turns the rate
-//! curve into arrival instants, each connection thread sleeps to its next
-//! instant, fires a `RUN` line, and parks for the reply; the latency it
-//! records runs from that intended instant to the reply. The target rate
-//! is split evenly across connections — superposing `N` Poisson processes
-//! at `rate/N` is again Poisson at `rate` — so per-connection blocking on
+//! wall-clock traffic: each connection draws its arrival instants and
+//! request types from the simulator's own [`OpenLoopSource`], sleeps to
+//! its next instant, fires a `RUN` line, and parks for the reply; the
+//! latency it records runs from that intended instant to the reply. The
+//! target rate is split evenly across connections — superposing `N`
+//! Poisson processes at `rate/N` is again Poisson at `rate` — so
+//! per-connection blocking on
 //! the reply only distorts the process when a single connection's share
 //! exceeds what one in-flight request can carry; sizing `connections`
 //! generously keeps the offered process honest.
@@ -19,10 +20,9 @@
 
 use crate::client::Client;
 use crate::protocol::Response;
-use mlp_model::{RequestCatalog, RequestTypeId};
+use mlp_model::RequestCatalog;
 use mlp_sim::SimRng;
-use mlp_workload::RateSchedule;
-use rand::Rng;
+use mlp_workload::{ArrivalSource, OpenLoopSource, RateSchedule};
 use std::time::{Duration, Instant};
 
 /// What to offer, where, and for how long.
@@ -136,23 +136,28 @@ impl LoadReport {
 /// reports, sorts the latency sample. Blocks until `duration` elapses on
 /// every connection (or the server goes away).
 pub fn run(cfg: &LoadgenConfig) -> LoadReport {
-    let catalog = RequestCatalog::paper();
-    let mix = catalog.balanced_mix();
-    let total_weight: f64 = mix.iter().map(|(_, w)| w).sum();
+    let mix = RequestCatalog::paper().balanced_mix();
     let root = SimRng::new(cfg.seed);
+    let n = cfg.connections.max(1);
+    let share = cfg
+        .schedule
+        .clone()
+        .with_base_rate(cfg.schedule.base_rate() / n as f64)
+        .expect("a positive rate split n ways stays positive");
     let start = Instant::now();
 
-    let n = cfg.connections.max(1);
     let mut merged = LoadReport::default();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
-            let mut rng = root.fork(i as u64);
-            let mix = mix.clone();
-            let cfg = cfg.clone();
-            handles.push(scope.spawn(move || {
-                connection_loop(&cfg, n as f64, start, &mix, total_weight, &mut rng)
-            }));
+            let arrivals = OpenLoopSource::scheduled(
+                share.clone(),
+                cfg.duration.as_secs_f64(),
+                mix.clone(),
+                root.fork(i as u64),
+            )
+            .expect("the paper mix is non-empty");
+            handles.push(scope.spawn(move || connection_loop(cfg, arrivals, start)));
         }
         for h in handles {
             if let Ok(report) = h.join() {
@@ -165,14 +170,12 @@ pub fn run(cfg: &LoadgenConfig) -> LoadReport {
     merged
 }
 
-/// One connection's share of the offered load.
+/// One connection's share of the offered load: `arrivals` at their
+/// instants since `start`.
 fn connection_loop(
     cfg: &LoadgenConfig,
-    shares: f64,
+    mut arrivals: OpenLoopSource,
     start: Instant,
-    mix: &[(RequestTypeId, f64)],
-    total_weight: f64,
-    rng: &mut SimRng,
 ) -> LoadReport {
     let mut report = LoadReport::default();
     let mut client = match Client::connect(&cfg.addr, cfg.timeout) {
@@ -183,27 +186,11 @@ fn connection_loop(
         }
     };
 
-    // Lewis–Shedler over this connection's slice of the curve: candidate
-    // gaps are exponential at the majorant `peak/shares`, thinned by the
-    // instantaneous rate. `t` is seconds since the run started.
-    let max_rate = (cfg.schedule.peak_rate() / shares).max(f64::MIN_POSITIVE);
-    let horizon = cfg.duration.as_secs_f64();
-    let mut t = 0.0f64;
-    loop {
-        let u: f64 = rng.rng().gen_range(f64::MIN_POSITIVE..1.0);
-        t += -u.ln() / max_rate;
-        if t >= horizon {
-            break;
-        }
-        let accept: f64 = rng.rng().gen_range(0.0..1.0);
-        if accept * max_rate >= cfg.schedule.rate_at(t) / shares {
-            continue;
-        }
-        // The mix draw happens even if we fall behind, keeping the request
-        // sequence a pure function of the seed.
-        let rtype = sample_mix(mix, total_weight, rng);
-
-        let due = start + Duration::from_secs_f64(t);
+    // Instants and types come from the seed alone, so a connection that
+    // falls behind sends the same sequence, only later.
+    while let Some(arrival) = arrivals.next_arrival() {
+        let rtype = arrival.request_type;
+        let due = start + Duration::from_micros(arrival.at.as_micros());
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
@@ -237,20 +224,6 @@ fn connection_loop(
     report
 }
 
-/// Weighted draw from the request mix (same scheme the simulator's
-/// arrival generator uses, re-derived here because the workload crate
-/// keeps its sampler private to the streaming source).
-fn sample_mix(mix: &[(RequestTypeId, f64)], total_weight: f64, rng: &mut SimRng) -> RequestTypeId {
-    let mut pick: f64 = rng.rng().gen_range(0.0..total_weight);
-    for (id, w) in mix {
-        if pick < *w {
-            return *id;
-        }
-        pick -= w;
-    }
-    mix.last().expect("mix is non-empty").0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,28 +245,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"p99_us\":40"), "{json}");
         assert!(json.contains("\"achieved_rps\":2.0"), "{json}");
-    }
-
-    #[test]
-    fn mix_sampling_is_weight_respecting() {
-        let catalog = RequestCatalog::paper();
-        let mix = catalog.balanced_mix();
-        let total: f64 = mix.iter().map(|(_, w)| w).sum();
-        let mut rng = SimRng::new(42);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..5000 {
-            *counts.entry(sample_mix(&mix, total, &mut rng)).or_insert(0u32) += 1;
-        }
-        // Every type with weight shows up; nothing outside the mix does.
-        assert_eq!(counts.len(), mix.len());
-        for (id, w) in &mix {
-            let observed = counts[id] as f64 / 5000.0;
-            let expected = w / total;
-            assert!(
-                (observed - expected).abs() < 0.05,
-                "type {id:?}: observed {observed:.3} vs expected {expected:.3}"
-            );
-        }
     }
 
     /// End-to-end: a real server on loopback, a short diurnal-sine L2

@@ -192,6 +192,17 @@ impl RateSchedule {
         Ok(s)
     }
 
+    /// The same schedule with its base rate set to `base_rate` (segments
+    /// and sinusoid kept): `n` independent streams at `base_rate() / n`
+    /// together offer this schedule's load.
+    pub fn with_base_rate(mut self, base_rate: f64) -> Result<Self, WorkloadError> {
+        if !(base_rate > 0.0 && base_rate.is_finite()) {
+            return Err(WorkloadError::NonPositiveRate(base_rate));
+        }
+        self.base_rate = base_rate;
+        Ok(self)
+    }
+
     /// The sinusoidal component, if one is set.
     pub fn sinusoid(&self) -> Option<Sinusoid> {
         self.sinusoid
@@ -239,6 +250,18 @@ mod tests {
 
     fn flash3x() -> RateSchedule {
         RateSchedule::flash_crowd(WorkloadPattern::Constant, 100.0, 30.0, 20.0, 3.0, 4.0).unwrap()
+    }
+
+    #[test]
+    fn with_base_rate_splits_the_load() {
+        let full = flash3x();
+        let quarter = full.clone().with_base_rate(25.0).unwrap();
+        for t in [0.0, 31.0, 40.0, 70.0] {
+            assert!((4.0 * quarter.rate_at(t) - full.rate_at(t)).abs() < 1e-9, "t={t}");
+        }
+        assert_eq!(quarter.segments(), full.segments());
+        assert!(full.clone().with_base_rate(0.0).is_err());
+        assert!(full.with_base_rate(f64::NAN).is_err());
     }
 
     #[test]
