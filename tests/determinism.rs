@@ -221,7 +221,10 @@ fn vmlp_schedules_are_pinned() {
     // (queue switches, home-shard misses, the overflow pass and the
     // per-round failure cap all fire). The four Table VI baselines are
     // pinned by name at the smoke rate, so what each paper name builds is
-    // held without a second way to construct it. The sharded round now
+    // held without a second way to construct it; the two deadline-ordered
+    // ones, and SearchSched (FullProfile's admission plus its seeded
+    // refinement), are pinned at ten times it too, where their `Defer`
+    // records and per-round failure cap fire. The sharded round now
     // runs in place on the kernel thread; that change left all twenty
     // digests as they were. Removing the inert `workers` config field then
     // moved each one only by dropping `"workers":1,` from the serialized
@@ -234,7 +237,7 @@ fn vmlp_schedules_are_pinned() {
     // with them removed.
     use std::hash::Hasher;
     use v_mlp::sim::FastHasher;
-    const PINS: [(&str, usize, f64, u64); 20] = [
+    const PINS: [(&str, usize, f64, u64); 28] = [
         ("vmlp", 1, 40.0, 0xf404_a2c2_e4b5_928a),
         ("vmlp", 4, 40.0, 0x73e5_78aa_31b0_8256),
         ("vmlp:reorder=off", 1, 40.0, 0xa59b_6b05_0e82_41ab),
@@ -255,6 +258,14 @@ fn vmlp_schedules_are_pinned() {
         ("PartProfile", 4, 40.0, 0x8313_3f6e_316f_423f),
         ("FullProfile", 1, 40.0, 0x4e04_4bd7_6469_ddd9),
         ("FullProfile", 4, 40.0, 0xcf69_c022_3fbe_185e),
+        ("PartProfile", 1, 400.0, 0x164d_222a_1b0a_a50e),
+        ("PartProfile", 4, 400.0, 0xd320_df38_8a29_fb2e),
+        ("FullProfile", 1, 400.0, 0x279a_5c10_9386_a3b3),
+        ("FullProfile", 4, 400.0, 0xed9a_5590_0d68_3484),
+        ("searchsched", 1, 40.0, 0x9a2c_6969_8fcb_6a7a),
+        ("searchsched", 4, 40.0, 0x5aea_f07b_b6fe_bad8),
+        ("searchsched", 1, 400.0, 0x53a8_5f1d_5efc_197f),
+        ("searchsched", 4, 400.0, 0x7b7c_f254_ae7c_868a),
     ];
     for (spec, shards, rate, pinned) in PINS {
         let cfg = ExperimentConfig::smoke("vmlp").with_seed(17).with_rate(rate).with_shards(shards);
