@@ -39,8 +39,6 @@ pub struct OrganizerPolicy {
     pub sla_weight: f64,
     /// Δt policy (Banded = the paper; others for ablations).
     pub dt_policy: DtPolicy,
-    /// Planning horizon.
-    pub horizon: SimDuration,
 }
 
 impl OrganizerPolicy {
@@ -55,12 +53,7 @@ impl OrganizerPolicy {
 
     /// Standard policy for a request of volatility `vr`.
     pub fn new(vr: Volatility) -> Self {
-        OrganizerPolicy {
-            vr,
-            sla_weight: Self::DEFAULT_SLA_WEIGHT,
-            dt_policy: DtPolicy::Banded,
-            horizon: SimDuration::from_secs(10),
-        }
+        OrganizerPolicy { vr, sla_weight: Self::DEFAULT_SLA_WEIGHT, dt_policy: DtPolicy::Banded }
     }
 
     /// Δt estimate in milliseconds for one microservice.
@@ -115,14 +108,6 @@ impl PlanPolicy for OrganizerPolicy {
 
     fn machine_policy(&self) -> MachinePolicy {
         MachinePolicy::LedgerEarliestFit
-    }
-
-    fn reserve(&self) -> bool {
-        true
-    }
-
-    fn horizon(&self) -> SimDuration {
-        self.horizon
     }
 }
 

@@ -12,7 +12,7 @@ use crate::volatility::Volatility;
 use mlp_cluster::MachineId;
 use mlp_model::VolatilityClass;
 use mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-use mlp_sched::placement::{earliest_slot_in_cluster, plan_request, SlotTie};
+use mlp_sched::placement::{earliest_slot_in_cluster, plan_request, SlotTie, PLAN_HORIZON};
 use mlp_sched::{
     HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
 };
@@ -369,12 +369,7 @@ impl Default for VMlpScheduler {
 
 /// The admission policy for one request (Algorithm 1's banded Δt).
 fn organizer_policy(dt_policy: DtPolicy, volatility: f64) -> OrganizerPolicy {
-    OrganizerPolicy {
-        vr: Volatility::new(volatility),
-        sla_weight: OrganizerPolicy::DEFAULT_SLA_WEIGHT,
-        dt_policy,
-        horizon: SimDuration::from_secs(10),
-    }
+    OrganizerPolicy { dt_policy, ..OrganizerPolicy::new(Volatility::new(volatility)) }
 }
 
 impl Scheduler for VMlpScheduler {
@@ -693,7 +688,7 @@ impl Scheduler for VMlpScheduler {
                 ctx,
                 ctx.cluster.home_shard(rid.0),
                 floor,
-                ctx.now + SimDuration::from_secs(10),
+                ctx.now + PLAN_HORIZON,
                 np.budget,
                 np.grant,
                 SlotTie::FirstInScan,

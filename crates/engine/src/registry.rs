@@ -19,9 +19,7 @@
 use crate::error::Error;
 use mlp_core::organizer::DtPolicy;
 use mlp_core::{VMlpConfig, VMlpScheduler};
-use mlp_sched::{
-    CurSched, FairSched, FullProfile, PartProfile, Scheduler, SearchConfig, SearchSched,
-};
+use mlp_sched::{CurSched, FairSched, FullProfile, PartProfile, Scheduler, SearchSched};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -191,30 +189,6 @@ impl SchedulerParams {
             Some(ParamValue::Bool(b)) => Ok(*b),
             Some(other) => {
                 Err(format!("param `{key}` expects on/off, got {} `{other}`", other.type_name()))
-            }
-        }
-    }
-
-    /// Typed read: a non-negative count, defaulting when absent.
-    pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Int(i)) if *i >= 0 => Ok(*i as usize),
-            Some(other) => Err(format!(
-                "param `{key}` expects a non-negative integer, got {} `{other}`",
-                other.type_name()
-            )),
-        }
-    }
-
-    /// Typed read: a float (integers widen), defaulting when absent.
-    pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.0.get(key) {
-            None => Ok(default),
-            Some(ParamValue::Float(x)) => Ok(*x),
-            Some(ParamValue::Int(i)) => Ok(*i as f64),
-            Some(other) => {
-                Err(format!("param `{key}` expects a number, got {} `{other}`", other.type_name()))
             }
         }
     }
@@ -589,8 +563,6 @@ const VMLP_PARAM_KEYS: &[&str] = &[
     "dt_policy",
 ];
 
-const SEARCH_PARAM_KEYS: &[&str] = &["neighborhood", "window", "iters", "round_budget", "margin"];
-
 fn dt_policy_from_str(s: &str) -> Result<DtPolicy, String> {
     match canonical_name(s).as_str() {
         "banded" => Ok(DtPolicy::Banded),
@@ -670,53 +642,6 @@ fn vmlp_display(params: &SchedulerParams) -> Result<String, String> {
     Ok(format!("v-MLP[{}]", parts.join(",")))
 }
 
-fn search_config_from_params(params: &SchedulerParams) -> Result<SearchConfig, String> {
-    let d = SearchConfig::default_config();
-    let cfg = SearchConfig {
-        neighborhood: params.usize_or("neighborhood", d.neighborhood)?,
-        window: params.usize_or("window", d.window)?,
-        iters: params.usize_or("iters", d.iters)?,
-        round_budget: params.usize_or("round_budget", d.round_budget)?,
-        margin: params.f64_or("margin", d.margin)?,
-    };
-    if cfg.neighborhood == 0 {
-        return Err("param `neighborhood` must be at least 1".to_string());
-    }
-    if cfg.window == 0 {
-        return Err("param `window` must be at least 1".to_string());
-    }
-    if !cfg.margin.is_finite() || cfg.margin <= 0.0 {
-        return Err(format!("param `margin` must be positive, got {}", cfg.margin));
-    }
-    Ok(cfg)
-}
-
-fn search_display(params: &SchedulerParams) -> Result<String, String> {
-    let cfg = search_config_from_params(params)?;
-    let d = SearchConfig::default_config();
-    let mut parts = Vec::new();
-    if cfg.neighborhood != d.neighborhood {
-        parts.push(format!("neighborhood={}", cfg.neighborhood));
-    }
-    if cfg.window != d.window {
-        parts.push(format!("window={}", cfg.window));
-    }
-    if cfg.iters != d.iters {
-        parts.push(format!("iters={}", cfg.iters));
-    }
-    if cfg.round_budget != d.round_budget {
-        parts.push(format!("round_budget={}", cfg.round_budget));
-    }
-    if cfg.margin != d.margin {
-        parts.push(format!("margin={:?}", cfg.margin));
-    }
-    if parts.is_empty() {
-        Ok("SearchSched".to_string())
-    } else {
-        Ok(format!("SearchSched[{}]", parts.join(",")))
-    }
-}
-
 fn builtin_entries() -> Vec<RegistryEntry> {
     vec![
         baseline_entry!(
@@ -755,11 +680,12 @@ fn builtin_entries() -> Vec<RegistryEntry> {
         RegistryEntry {
             name: "searchsched",
             summary: "seeded local-search placement (greedy + variable-neighborhood refinement)",
-            param_keys: SEARCH_PARAM_KEYS,
+            param_keys: &[],
             build: |params, ctx| {
-                Ok(Box::new(SearchSched::with_config(search_config_from_params(params)?, ctx.seed)))
+                params.check_keys(&[])?;
+                Ok(Box::new(SearchSched::new(ctx.seed)))
             },
-            display: search_display,
+            display: |_params| Ok("SearchSched".to_string()),
         },
     ]
 }
@@ -821,8 +747,6 @@ mod tests {
         assert_eq!(spec.display_name(), "v-MLP[healing=off]");
         let spec = SchemeSpec::parse("vmlp:reorder=off,dt_policy=always-p99").unwrap();
         assert_eq!(spec.display_name(), "v-MLP[dt_policy=always-p99,reorder=off]");
-        let spec = SchemeSpec::parse("searchsched:iters=24").unwrap();
-        assert_eq!(spec.display_name(), "SearchSched[iters=24]");
     }
 
     fn build_err(spec: &SchemeSpec) -> Error {
@@ -850,8 +774,12 @@ mod tests {
             ("vmlp:reorder=nope", "reorder"),
             ("vmlp:dt_policy=sometimes", "dt_policy"),
             ("fairsched:anything=1", "anything"),
-            ("searchsched:margin=-1.0", "margin"),
-            ("searchsched:neighborhood=0", "neighborhood"),
+            // SearchSched's former knobs are constants now.
+            ("searchsched:neighborhood=3", "neighborhood"),
+            ("searchsched:window=8", "window"),
+            ("searchsched:iters=24", "iters"),
+            ("searchsched:round_budget=8", "round_budget"),
+            ("searchsched:margin=1.1", "margin"),
         ];
         for (spec, key) in cases {
             let spec = SchemeSpec::parse(spec).unwrap();
@@ -941,7 +869,7 @@ mod tests {
     fn seeded_schemes_get_the_experiment_seed() {
         // Two builds with the same seed must behave identically; the
         // registry must thread the seed through (SearchSched's RNG).
-        let spec = SchemeSpec::parse("searchsched:iters=4").unwrap();
+        let spec = SchemeSpec::named("searchsched");
         let a = default_registry().build(&spec, 11).unwrap();
         let b = default_registry().build(&spec, 11).unwrap();
         assert_eq!(a.name(), b.name());

@@ -9,7 +9,7 @@
 //!   "schemes": [
 //!     "fairsched",
 //!     "vmlp:healing=off",
-//!     { "name": "searchsched", "params": { "iters": 24 } }
+//!     { "name": "vmlp", "params": { "dt_policy": "always-p99" } }
 //!   ]
 //! }
 //! ```
@@ -93,23 +93,26 @@ mod tests {
             r#"{"schemes": [
                 "fairsched",
                 "vmlp:healing=off",
-                {"name": "searchsched", "params": {"iters": 24}}
+                {"name": "vmlp", "params": {"dt_policy": "always-p99"}}
             ]}"#,
         )
         .unwrap();
         assert_eq!(sweep.schemes.len(), 3);
         assert_eq!(sweep.schemes[0], SchemeSpec::named("fairsched"));
         assert_eq!(sweep.schemes[1], SchemeSpec::parse("vmlp:healing=off").unwrap());
-        assert_eq!(sweep.schemes[2], SchemeSpec::parse("searchsched:iters=24").unwrap());
+        assert_eq!(sweep.schemes[2], SchemeSpec::parse("vmlp:dt_policy=always-p99").unwrap());
         sweep.validate().unwrap();
-        assert_eq!(sweep.labels(), ["FairSched", "v-MLP[healing=off]", "SearchSched[iters=24]"]);
+        assert_eq!(
+            sweep.labels(),
+            ["FairSched", "v-MLP[healing=off]", "v-MLP[dt_policy=always-p99]"]
+        );
     }
 
     #[test]
     fn serde_round_trip() {
         let sweep = SweepConfig::new(vec![
             SchemeSpec::named("vmlp"),
-            SchemeSpec::parse("searchsched:window=4").unwrap(),
+            SchemeSpec::parse("vmlp:reorder=off,dt_policy=always-mean").unwrap(),
         ]);
         let js = serde_json::to_string(&sweep).unwrap();
         assert_eq!(SweepConfig::from_json(&js).unwrap(), sweep);

@@ -6,7 +6,6 @@ use crate::scheduler::{PlanEnv, Scheduler, SchedulerCtx};
 use mlp_model::{Microservice, ResourceVector};
 use mlp_sim::SimDuration;
 use mlp_trace::{Decision, DecisionKind};
-use std::collections::VecDeque;
 
 /// Naive per-node time estimate (ms) used by the simple schedulers, which
 /// by definition consult no historical data.
@@ -23,6 +22,24 @@ const FAIR_SLOTS: f64 = 8.0;
 /// cluster is saturated for this round.
 pub const MAX_ADMIT_TRIES_PER_ROUND: usize = 16;
 
+/// The simple schemes' round: plan every waiting request in arrival order.
+/// Round-robin and least-loaded placement never consult a ledger, so
+/// nothing is ever deferred.
+fn drain_fcfs(
+    queue: &mut Vec<RequestInfo>,
+    policy: &impl PlanPolicy,
+    rr_cursor: &mut usize,
+    ctx: &mut SchedulerCtx<'_>,
+) -> Vec<RequestPlan> {
+    queue
+        .drain(..)
+        .map(|req| {
+            plan_request(&req, policy, true, rr_cursor, ctx)
+                .expect("round-robin and least-loaded placement cannot fail")
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // FairSched — FCFS, equal resource slices (Quincy-style fair sharing).
 // ---------------------------------------------------------------------------
@@ -33,7 +50,7 @@ pub const MAX_ADMIT_TRIES_PER_ROUND: usize = 16;
 /// resources — the paper's archetype of a microservice-oblivious scheme.
 #[derive(Debug, Default)]
 pub struct FairSched {
-    queue: VecDeque<RequestInfo>,
+    queue: Vec<RequestInfo>,
     rr_cursor: usize,
 }
 
@@ -62,9 +79,6 @@ impl PlanPolicy for FairPolicy {
     fn machine_policy(&self) -> MachinePolicy {
         MachinePolicy::RoundRobin
     }
-    fn reserve(&self) -> bool {
-        false
-    }
 }
 
 impl Scheduler for FairSched {
@@ -73,18 +87,12 @@ impl Scheduler for FairSched {
     }
 
     fn on_arrival(&mut self, req: RequestInfo, _ctx: &mut SchedulerCtx<'_>) {
-        self.queue.push_back(req);
+        self.queue.push(req);
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         let policy = FairPolicy { slice: ctx.cluster.machines()[0].capacity * (1.0 / FAIR_SLOTS) };
-        let mut plans = Vec::with_capacity(self.queue.len());
-        while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &policy, true, &mut self.rr_cursor, ctx)
-                .expect("round-robin placement cannot fail");
-            plans.push(plan);
-        }
-        plans
+        drain_fcfs(&mut self.queue, &policy, &mut self.rr_cursor, ctx)
     }
 
     fn waiting(&self) -> usize {
@@ -102,7 +110,7 @@ impl Scheduler for FairSched {
 /// but won't be when the service actually invokes.
 #[derive(Debug, Default)]
 pub struct CurSched {
-    queue: VecDeque<RequestInfo>,
+    queue: Vec<RequestInfo>,
     rr_cursor: usize,
 }
 
@@ -125,9 +133,6 @@ impl PlanPolicy for CurPolicy {
     fn machine_policy(&self) -> MachinePolicy {
         MachinePolicy::LeastLoaded
     }
-    fn reserve(&self) -> bool {
-        false
-    }
 }
 
 impl Scheduler for CurSched {
@@ -136,17 +141,11 @@ impl Scheduler for CurSched {
     }
 
     fn on_arrival(&mut self, req: RequestInfo, _ctx: &mut SchedulerCtx<'_>) {
-        self.queue.push_back(req);
+        self.queue.push(req);
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        let mut plans = Vec::with_capacity(self.queue.len());
-        while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &CurPolicy, true, &mut self.rr_cursor, ctx)
-                .expect("least-loaded placement cannot fail");
-            plans.push(plan);
-        }
-        plans
+        drain_fcfs(&mut self.queue, &CurPolicy, &mut self.rr_cursor, ctx)
     }
 
     fn waiting(&self) -> usize {
@@ -158,35 +157,39 @@ impl Scheduler for CurSched {
 // Priority queue shared by the advanced schemes ("Prior." in Table VI).
 // ---------------------------------------------------------------------------
 
-/// The priority key: earliest SLO deadline (`arrival + SLO`), the
-/// conventional priority for SLA-driven schedulers.
-fn deadline_key(r: &RequestInfo, ctx: &SchedulerCtx<'_>) -> mlp_sim::SimTime {
-    let slo = ctx.catalog.request(r.rtype).slo_ms;
-    r.arrival + SimDuration::from_millis_f64(slo)
-}
-
-/// Inserts an arrival into a deadline-sorted queue at the upper bound of
-/// its key. A deadline never changes once a request exists and deferrals
-/// preserve relative order, so maintaining the order on insert is exactly
-/// equivalent to the old per-round *stable* sort (a new arrival sat at the
-/// back, i.e. after every equal-deadline request) — at O(log n) search +
+/// Inserts an arrival into a deadline-sorted queue (earliest SLO deadline,
+/// `arrival + SLO`, the conventional priority for SLA-driven schedulers)
+/// at the upper bound of its key. A deadline never changes once a request
+/// exists and deferrals preserve relative order, so maintaining the order
+/// on insert is exactly equivalent to a per-round *stable* sort (a new
+/// arrival sits after every equal-deadline request) — at O(log n) search +
 /// one memmove instead of an O(n log n) sort every round.
-fn insert_by_deadline(queue: &mut Vec<RequestInfo>, req: RequestInfo, ctx: &SchedulerCtx<'_>) {
-    let key = deadline_key(&req, ctx);
-    let at = queue.partition_point(|r| deadline_key(r, ctx) <= key);
+pub(crate) fn insert_by_deadline(
+    queue: &mut Vec<RequestInfo>,
+    req: RequestInfo,
+    ctx: &SchedulerCtx<'_>,
+) {
+    let deadline = |r: &RequestInfo| {
+        r.arrival + SimDuration::from_millis_f64(ctx.catalog.request(r.rtype).slo_ms)
+    };
+    let key = deadline(&req);
+    let at = queue.partition_point(|r| deadline(r) <= key);
     queue.insert(at, req);
 }
 
-/// One admission round over a deadline-sorted queue, shared by the two
-/// profile-driven baselines (they differ only in `policy`): plan in queue
-/// order, defer what finds no ledger slot, give up for the round after
-/// [`MAX_ADMIT_TRIES_PER_ROUND`] failures. Deferrals keep their relative
-/// order, so the queue stays deadline-sorted.
-fn admit_in_deadline_order(
+/// One admission round over a deadline-sorted queue, shared by the
+/// ledger-driven baselines (PartProfile and FullProfile differ only in
+/// `policy`; SearchSched is FullProfile plus its `admitted` hook): plan in
+/// queue order, hand each admitted plan to `admitted` (which returns the
+/// plan to keep), defer what finds no ledger slot, give up for the round
+/// after [`MAX_ADMIT_TRIES_PER_ROUND`] failures. Deferrals keep their
+/// relative order, so the queue stays deadline-sorted. Ledger placement
+/// never reads the round-robin cursor.
+pub(crate) fn admit_in_deadline_order(
     queue: &mut Vec<RequestInfo>,
     policy: &impl PlanPolicy,
-    rr_cursor: &mut usize,
     ctx: &mut SchedulerCtx<'_>,
+    mut admitted: impl FnMut(&RequestInfo, RequestPlan, &mut SchedulerCtx<'_>) -> RequestPlan,
 ) -> Vec<RequestPlan> {
     let mut plans = Vec::new();
     let mut deferred = Vec::new();
@@ -197,8 +200,8 @@ fn admit_in_deadline_order(
             deferred.extend_from_slice(&pending[i..]);
             break;
         }
-        match plan_request(req, policy, true, rr_cursor, ctx) {
-            Some(plan) => plans.push(plan),
+        match plan_request(req, policy, true, &mut 0, ctx) {
+            Some(plan) => plans.push(admitted(req, plan, ctx)),
             None => {
                 failures += 1;
                 ctx.audit.record(
@@ -224,7 +227,6 @@ fn admit_in_deadline_order(
 #[derive(Debug, Default)]
 pub struct PartProfile {
     queue: Vec<RequestInfo>,
-    rr_cursor: usize,
 }
 
 impl PartProfile {
@@ -247,9 +249,6 @@ impl PlanPolicy for PartPolicy {
     fn machine_policy(&self) -> MachinePolicy {
         MachinePolicy::LedgerEarliestFit
     }
-    fn reserve(&self) -> bool {
-        true
-    }
 }
 
 impl Scheduler for PartProfile {
@@ -262,7 +261,7 @@ impl Scheduler for PartProfile {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        admit_in_deadline_order(&mut self.queue, &PartPolicy, &mut self.rr_cursor, ctx)
+        admit_in_deadline_order(&mut self.queue, &PartPolicy, ctx, |_, plan, _| plan)
     }
 
     fn waiting(&self) -> usize {
@@ -282,7 +281,6 @@ impl Scheduler for PartProfile {
 #[derive(Debug, Default)]
 pub struct FullProfile {
     queue: Vec<RequestInfo>,
-    rr_cursor: usize,
 }
 
 impl FullProfile {
@@ -292,7 +290,10 @@ impl FullProfile {
     }
 }
 
-struct FullPolicy;
+/// FullProfile's budgets and grants: the profiled mean execution time with
+/// a small margin, and the mean observed usage. SearchSched plans with it
+/// too.
+pub(crate) struct FullPolicy;
 
 impl PlanPolicy for FullPolicy {
     fn budget(&self, _n: usize, svc: &Microservice, wf: f64, env: &PlanEnv<'_>) -> SimDuration {
@@ -311,9 +312,6 @@ impl PlanPolicy for FullPolicy {
     fn machine_policy(&self) -> MachinePolicy {
         MachinePolicy::LedgerEarliestFit
     }
-    fn reserve(&self) -> bool {
-        true
-    }
 }
 
 impl Scheduler for FullProfile {
@@ -326,7 +324,7 @@ impl Scheduler for FullProfile {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        admit_in_deadline_order(&mut self.queue, &FullPolicy, &mut self.rr_cursor, ctx)
+        admit_in_deadline_order(&mut self.queue, &FullPolicy, ctx, |_, plan, _| plan)
     }
 
     fn waiting(&self) -> usize {

@@ -29,4 +29,4 @@ pub use overload::{
 };
 pub use plan::{NodePlan, RequestInfo, RequestPlan};
 pub use scheduler::{HealingAction, LateInfo, NodeFailure, PlanEnv, Scheduler, SchedulerCtx};
-pub use search::{SearchConfig, SearchSched};
+pub use search::SearchSched;

@@ -146,10 +146,17 @@ pub enum MachinePolicy {
     /// Lowest instantaneous utilization at planning time (CurSched).
     LeastLoaded,
     /// Scan all machines' future ledgers and take the slot that starts
-    /// earliest; requires the grant to fit for the whole budget
-    /// (PartProfile / FullProfile / v-MLP).
+    /// earliest; requires the grant to fit for the whole budget, and is the
+    /// one policy whose grants are written into the ledgers
+    /// (PartProfile / FullProfile / SearchSched / v-MLP).
     LedgerEarliestFit,
 }
+
+/// Planning horizon beyond `now`: a node that cannot be placed before
+/// `now + PLAN_HORIZON` makes the whole request unplaceable this round.
+/// Ten seconds is far beyond any request's SLO — planning further out
+/// would only delay the inevitable violation while bloating ledgers.
+pub const PLAN_HORIZON: SimDuration = SimDuration::from_secs(10);
 
 /// Per-node planning inputs a scheme provides to the builder.
 ///
@@ -171,24 +178,13 @@ pub trait PlanPolicy {
 
     /// Machine-selection policy.
     fn machine_policy(&self) -> MachinePolicy;
-
-    /// Whether grants are written into machine ledgers.
-    fn reserve(&self) -> bool;
-
-    /// Planning horizon beyond `now`: a node that cannot be placed before
-    /// `now + horizon` makes the whole request unplaceable this round.
-    /// Ten seconds is far beyond any request's SLO — planning further out
-    /// would only delay the inevitable violation while bloating ledgers.
-    fn horizon(&self) -> SimDuration {
-        SimDuration::from_secs(10)
-    }
 }
 
 /// Earliest start of DAG node `i`: every parent's planned end plus the
 /// expected caller→callee communication delay (the conservative
 /// cross-machine one; co-location is decided later), and never before
 /// `now`.
-pub(crate) fn ready_time(
+fn ready_time(
     dag: &ServiceDag,
     i: usize,
     svc: &Microservice,
@@ -201,13 +197,73 @@ pub(crate) fn ready_time(
         .fold(env.now, SimTime::max)
 }
 
+/// The one DAG planning loop. Visits `req`'s nodes in topological order;
+/// for each it takes the policy's budget and grant and the node's
+/// [`ready_time`], asks `place(node, ready, budget, grant, ctx)` for a
+/// `(machine, start)`, and — under [`MachinePolicy::LedgerEarliestFit`] —
+/// reserves the grant there. When `place` finds nothing, every reservation
+/// made so far is rolled back and the plan is `None`.
+fn plan_nodes(
+    req: &RequestInfo,
+    policy: &impl PlanPolicy,
+    ctx: &mut SchedulerCtx<'_>,
+    mut place: impl FnMut(
+        usize,
+        SimTime,
+        SimDuration,
+        ResourceVector,
+        &SchedulerCtx<'_>,
+    ) -> Option<(MachineId, SimTime)>,
+) -> Option<RequestPlan> {
+    let env = ctx.env();
+    let rtype = ctx.catalog.request(req.rtype);
+    let dag = &rtype.dag;
+    let reserve = policy.machine_policy() == MachinePolicy::LedgerEarliestFit;
+    let mut nodes: Vec<Option<NodePlan>> = vec![None; dag.len()];
+    let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
+
+    for &i in rtype.topo_order() {
+        let node = dag.node(i);
+        let svc = ctx.catalog.services.get(node.service);
+        let budget = policy.budget(i, svc, node.work_factor, &env);
+        let grant = policy.grant(i, svc, &env);
+        let ready = ready_time(dag, i, svc, &nodes, &env);
+
+        let Some((machine, start)) = place(i, ready, budget, grant, ctx) else {
+            for (m, from, to, amt) in reserved {
+                ctx.cluster.machine_mut(m).ledger.unreserve(from, to, amt);
+            }
+            return None;
+        };
+
+        let reserved_here = reserve && budget > SimDuration::ZERO;
+        if reserved_here {
+            let end = start + budget;
+            ctx.cluster.machine_mut(machine).ledger.reserve(start, end, grant);
+            reserved.push((machine, start, end, grant));
+        }
+        nodes[i] = Some(NodePlan {
+            machine,
+            planned_start: start,
+            budget,
+            grant,
+            reserved: reserved_here,
+        });
+    }
+
+    Some(RequestPlan {
+        request: req.id,
+        nodes: nodes.into_iter().map(|n| n.expect("all nodes planned")).collect(),
+    })
+}
+
 /// Plans every node of `req`'s DAG in topological order.
 ///
 /// For each node the earliest feasible start is the latest parent's
 /// planned end plus the expected caller→callee communication delay; the
 /// machine policy then decides where (and for ledger policies, exactly
 /// when) the node runs. Returns `None` if any node cannot be placed within
-/// the policy's horizon — the caller decides whether to defer the request
+/// [`PLAN_HORIZON`] — the caller decides whether to defer the request
 /// (v-MLP's "switch `r_i` with `r_{i+1}`") or force-place it.
 ///
 /// Ledger placement searches `req`'s home shard first; `overflow` says
@@ -224,71 +280,41 @@ pub fn plan_request(
     rr_cursor: &mut usize,
     ctx: &mut SchedulerCtx<'_>,
 ) -> Option<RequestPlan> {
-    let env = ctx.env();
-    let rtype = ctx.catalog.request(req.rtype);
-    let dag = &rtype.dag;
     let n_machines = ctx.cluster.len();
     assert!(n_machines > 0, "cannot plan on an empty cluster");
-
-    let mut nodes: Vec<Option<NodePlan>> = vec![None; dag.len()];
-    let horizon_end = ctx.now + policy.horizon();
-    let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
-
-    for &i in rtype.topo_order() {
-        let node = dag.node(i);
-        let svc = ctx.catalog.services.get(node.service);
-        let budget = policy.budget(i, svc, node.work_factor, &env);
-        let grant = policy.grant(i, svc, &env);
-        let ready = ready_time(dag, i, svc, &nodes, &env);
-
-        let placed = match policy.machine_policy() {
-            MachinePolicy::RoundRobin => {
-                let m = MachineId((*rr_cursor % n_machines) as u32);
-                *rr_cursor += 1;
-                Some((m, ready))
-            }
-            MachinePolicy::LeastLoaded => ctx.cluster.least_loaded().map(|m| (m, ready)),
-            MachinePolicy::LedgerEarliestFit => {
-                let home = ctx.cluster.home_shard(req.id.0);
-                let tie = SlotTie::MostHeadroom;
-                if overflow {
-                    earliest_slot_in_cluster(ctx, home, ready, horizon_end, budget, grant, tie)
-                } else {
-                    let machines = ctx.cluster.shard_machines(home);
-                    earliest_slot(machines, ready, horizon_end, budget, grant, tie)
-                }
-            }
-        };
-
-        let (machine, start) = match placed {
-            Some(p) => p,
-            None => {
-                // Roll back reservations made for earlier nodes.
-                for (m, from, to, amt) in reserved {
-                    ctx.cluster.machine_mut(m).ledger.unreserve(from, to, amt);
-                }
-                return None;
-            }
-        };
-
-        if policy.reserve() && budget > SimDuration::ZERO {
-            let end = start + budget;
-            ctx.cluster.machine_mut(machine).ledger.reserve(start, end, grant);
-            reserved.push((machine, start, end, grant));
+    let machine_policy = policy.machine_policy();
+    let home = ctx.cluster.home_shard(req.id.0);
+    plan_nodes(req, policy, ctx, |_, ready, budget, grant, ctx| match machine_policy {
+        MachinePolicy::RoundRobin => {
+            let m = MachineId((*rr_cursor % n_machines) as u32);
+            *rr_cursor += 1;
+            Some((m, ready))
         }
+        MachinePolicy::LeastLoaded => ctx.cluster.least_loaded().map(|m| (m, ready)),
+        MachinePolicy::LedgerEarliestFit => {
+            let (horizon_end, tie) = (ctx.now + PLAN_HORIZON, SlotTie::MostHeadroom);
+            if overflow {
+                earliest_slot_in_cluster(ctx, home, ready, horizon_end, budget, grant, tie)
+            } else {
+                let machines = ctx.cluster.shard_machines(home);
+                earliest_slot(machines, ready, horizon_end, budget, grant, tie)
+            }
+        }
+    })
+}
 
-        nodes[i] = Some(NodePlan {
-            machine,
-            planned_start: start,
-            budget,
-            grant,
-            reserved: policy.reserve() && budget > SimDuration::ZERO,
-        });
-    }
-
-    Some(RequestPlan {
-        request: req.id,
-        nodes: nodes.into_iter().map(|n| n.expect("all nodes planned")).collect(),
+/// [`plan_request`] with node `i` pinned to `machines[i]`: each node takes
+/// the earliest window on its machine ([`SlotTie::FirstInScan`]).
+/// SearchSched's moves rebuild their candidate schedules with it.
+pub(crate) fn plan_pinned(
+    req: &RequestInfo,
+    policy: &impl PlanPolicy,
+    machines: &[MachineId],
+    ctx: &mut SchedulerCtx<'_>,
+) -> Option<RequestPlan> {
+    plan_nodes(req, policy, ctx, |i, ready, budget, grant, ctx| {
+        let pinned = std::iter::once(ctx.cluster.machine(machines[i]));
+        earliest_slot(pinned, ready, ctx.now + PLAN_HORIZON, budget, grant, SlotTie::FirstInScan)
     })
 }
 
@@ -316,7 +342,6 @@ mod tests {
 
     struct TestPolicy {
         policy: MachinePolicy,
-        reserve: bool,
         budget_ms: u64,
         grant: ResourceVector,
     }
@@ -330,9 +355,6 @@ mod tests {
         }
         fn machine_policy(&self) -> MachinePolicy {
             self.policy
-        }
-        fn reserve(&self) -> bool {
-            self.reserve
         }
     }
 
@@ -376,7 +398,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::RoundRobin,
-            reserve: false,
             budget_ms: 10,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -396,7 +417,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 20,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -424,7 +444,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 10,
             grant: ResourceVector::new(2.0, 500.0, 50.0), // does not fit anywhere
         };
@@ -454,7 +473,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 10_000, // long budgets so concurrent branches collide
             grant: ResourceVector::new(1.5, 1_000.0, 80.0),
         };
@@ -476,7 +494,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 10,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -506,7 +523,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 10,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -533,7 +549,6 @@ mod tests {
         let mut local = full.clone();
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 25,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -574,7 +589,6 @@ mod tests {
             .collect();
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 10,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
@@ -635,7 +649,6 @@ mod tests {
         let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
-            reserve: true,
             budget_ms: 50,
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };

@@ -28,7 +28,7 @@ FLAGS:
                       fairsched | cursched | partprofile | fullprofile |
                       v-mlp (default) | searchsched
                       params attach as NAME:k=v,k2=v2 — e.g.
-                      v-mlp:healing=off  or  searchsched:iters=24,window=4
+                      v-mlp:healing=off  or  v-mlp:reorder=off,dt_policy=always-p99
     --pattern=NAME    l1 | l2 | l3 | const   (default l1)
     --mix=NAME        balanced | low | mid | high | ratio:<0..1>  (default balanced)
     --machines=N      cluster size            (default 20)

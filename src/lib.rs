@@ -73,7 +73,7 @@ pub mod prelude {
     pub use mlp_core::VMlpScheduler;
     pub use mlp_sched::baselines;
     pub use mlp_sched::scheduler::{HealingAction, Scheduler, SchedulerCtx};
-    pub use mlp_sched::{SearchConfig, SearchSched};
+    pub use mlp_sched::SearchSched;
 
     // The simulated substrate: workloads, requests, cluster sharding.
     pub use mlp_cluster::{Cluster, ShardId, ShardMap, ShardPool};
