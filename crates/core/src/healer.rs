@@ -73,27 +73,18 @@ pub struct DelaySlotCandidate {
     pub plan: NodePlan,
 }
 
-/// Finds delay-slot microservice candidates across all active requests:
-/// planned nodes whose dependencies are complete and whose planned start
-/// is still in the future (so starting them *now* buys idle time back).
-/// Sorted by how much idle time promotion could reclaim (latest planned
-/// start first), with ids as deterministic tie-breaks.
-pub fn delay_slot_candidates<S: BuildHasher>(
-    active: &HashMap<RequestId, ActiveRequest, S>,
-    exclude: (RequestId, usize),
-    now: SimTime,
-    catalog: &RequestCatalog,
-) -> Vec<DelaySlotCandidate> {
-    top_delay_slot_candidates(active, exclude, now, catalog, usize::MAX)
-}
-
-/// [`delay_slot_candidates`] truncated to its best `k` entries —
-/// exactly `delay_slot_candidates(..).truncate(k)`, but selecting before
-/// sorting. Late invocations fire constantly under load and the healer
-/// only promotes [`HEAL_FANOUT`](crate::HEAL_FANOUT) candidates, so ordering the full candidate
-/// set was wasted work; the comparator is a total order (unique
-/// `(request, node)` tie-break), which is what makes the partial selection
-/// bit-identical to the full sort's prefix.
+/// Finds the best `k` delay-slot microservice candidates across all active
+/// requests: planned nodes whose dependencies are complete and whose
+/// planned start is still in the future (so starting them *now* buys idle
+/// time back). Sorted by how much idle time promotion could reclaim
+/// (latest planned start first), with ids as deterministic tie-breaks.
+///
+/// Exactly the full sorted candidate list truncated to `k`, but selecting
+/// before sorting. Late invocations fire constantly under load and the
+/// healer only promotes [`HEAL_FANOUT`](crate::HEAL_FANOUT) candidates, so
+/// ordering the full candidate set was wasted work; the comparator is a
+/// total order (unique `(request, node)` tie-break), which is what makes
+/// the partial selection bit-identical to the full sort's prefix.
 pub fn top_delay_slot_candidates<S: BuildHasher>(
     active: &HashMap<RequestId, ActiveRequest, S>,
     exclude: (RequestId, usize),
@@ -320,6 +311,17 @@ mod tests {
     use super::*;
     use mlp_model::{RequestCatalog, ResourceVector};
     use mlp_sim::SimDuration;
+
+    /// Every delay-slot candidate, fully sorted: the reference the
+    /// top-`k` selection must match prefix for prefix.
+    fn delay_slot_candidates<S: BuildHasher>(
+        active: &HashMap<RequestId, ActiveRequest, S>,
+        exclude: (RequestId, usize),
+        now: SimTime,
+        catalog: &RequestCatalog,
+    ) -> Vec<DelaySlotCandidate> {
+        top_delay_slot_candidates(active, exclude, now, catalog, usize::MAX)
+    }
 
     fn active(catalog: &RequestCatalog, rid: u64, name: &str) -> ActiveRequest {
         let rt = catalog.request_by_name(name).unwrap();

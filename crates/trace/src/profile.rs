@@ -287,24 +287,6 @@ impl ProfileStore {
         value
     }
 
-    /// The historical sort-based Δt computation (builds and truncates a
-    /// fresh [`Cdf`] per call): the reference implementation the indexed
-    /// [`delta_t_ms`](ProfileStore::delta_t_ms) must match bit-for-bit.
-    pub fn delta_t_ms_unindexed(
-        &self,
-        service: ServiceId,
-        x_percent: f64,
-        q: f64,
-        fallback_ms: f64,
-    ) -> f64 {
-        let mut cdf = self.exec_cdf(service);
-        if cdf.is_empty() {
-            return fallback_ms;
-        }
-        let mut truncated = cdf.truncate_fastest(x_percent);
-        truncated.quantile(q).unwrap_or(fallback_ms)
-    }
-
     /// Most recent observed execution time; `None` with no history.
     /// ("For requests with low V_r, Δt is directly determined by
     /// historical value.")
@@ -334,6 +316,27 @@ impl ProfileStore {
         let mut ids: Vec<ServiceId> = self.histories.keys().map(|&k| ServiceId(k)).collect();
         ids.sort_unstable();
         ids
+    }
+}
+
+#[cfg(test)]
+impl ProfileStore {
+    /// The historical sort-based Δt computation (builds and truncates a
+    /// fresh [`Cdf`] per call): the reference implementation the indexed
+    /// [`delta_t_ms`](ProfileStore::delta_t_ms) must match bit-for-bit.
+    pub fn delta_t_ms_unindexed(
+        &self,
+        service: ServiceId,
+        x_percent: f64,
+        q: f64,
+        fallback_ms: f64,
+    ) -> f64 {
+        let mut cdf = self.exec_cdf(service);
+        if cdf.is_empty() {
+            return fallback_ms;
+        }
+        let mut truncated = cdf.truncate_fastest(x_percent);
+        truncated.quantile(q).unwrap_or(fallback_ms)
     }
 }
 
