@@ -78,6 +78,12 @@ impl ServeConfig {
     }
 }
 
+/// How long the listener stays out of the poll set after `accept` ran out
+/// of descriptors (or memory), unless a connection closes first. The
+/// pending connection waits in the listen backlog meanwhile; polling the
+/// listener again at once would only report it again and spin the loop.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
+
 /// Longest request a connection may buffer (a line, or an HTTP request
 /// line plus headers); past it the answer is `ERR request too long` (HTTP
 /// `400`) and a close.
@@ -223,6 +229,7 @@ impl Server {
             pending: HashMap::new(),
             deadlines: VecDeque::new(),
             request_timeout: cfg.request_timeout,
+            accept_paused: None,
         };
         let front_door =
             std::thread::Builder::new().name("mlp-serve".into()).spawn(move || door.run())?;
@@ -328,6 +335,10 @@ struct FrontDoor {
     /// the deadlines are ordered too.
     deadlines: VecDeque<(Instant, u64)>,
     request_timeout: Duration,
+    /// Set when `accept` failed for want of a descriptor: until when the
+    /// listener is left out of the poll set, and the open connections then
+    /// (one fewer means a descriptor came free).
+    accept_paused: Option<(Instant, usize)>,
 }
 
 impl FrontDoor {
@@ -349,7 +360,8 @@ impl FrontDoor {
                     self.outcome(LiveOutcome { token, request: 0, kind: OutcomeKind::Dropped });
                 }
             }
-            let timeout = self.expire(Instant::now());
+            let now = Instant::now();
+            let mut timeout = self.expire(now);
             if draining {
                 self.listener = None;
                 self.conns.values_mut().for_each(|c| c.read_done = true);
@@ -362,10 +374,18 @@ impl FrontDoor {
                 return;
             }
 
+            if let Some((until, open)) = self.accept_paused {
+                if until <= now || self.conns.len() < open {
+                    self.accept_paused = None;
+                } else {
+                    timeout = Some(timeout.map_or(until - now, |t| t.min(until - now)));
+                }
+            }
+
             fds.clear();
             ids.clear();
             fds.push(sys::PollFd { fd: self.wake.as_raw_fd(), events: sys::POLLIN, revents: 0 });
-            if let Some(l) = &self.listener {
+            if let (Some(l), None) = (&self.listener, self.accept_paused) {
                 fds.push(sys::PollFd { fd: l.as_raw_fd(), events: sys::POLLIN, revents: 0 });
             }
             let first_conn = fds.len();
@@ -422,8 +442,17 @@ impl FrontDoor {
                     self.conns.insert(self.next_conn, c);
                     self.next_conn += 1;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return, // `WouldBlock`: the backlog is empty.
+                Err(e) => match e.kind() {
+                    io::ErrorKind::WouldBlock => return, // The backlog is empty.
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => {}
+                    // Out of descriptors or memory: the connection stays
+                    // in the backlog until one frees.
+                    _ => {
+                        let open = self.conns.len();
+                        self.accept_paused = Some((Instant::now() + ACCEPT_PAUSE, open));
+                        return;
+                    }
+                },
             }
         }
     }
@@ -990,5 +1019,114 @@ mod tests {
         reader.read_exact(&mut body).unwrap();
         head.push_str(std::str::from_utf8(&body).unwrap());
         head
+    }
+
+    /// `getrlimit`/`setrlimit` and the process CPU clock, for the
+    /// descriptor-exhaustion test (Linux numbering).
+    #[cfg(target_os = "linux")]
+    mod os {
+        use std::ffi::{c_int, c_long};
+        use std::time::Duration;
+
+        #[repr(C)]
+        struct Rlimit {
+            cur: u64,
+            max: u64,
+        }
+
+        #[repr(C)]
+        struct Timespec {
+            sec: i64,
+            nsec: c_long,
+        }
+
+        const RLIMIT_NOFILE: c_int = 7;
+        const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+
+        extern "C" {
+            fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+            fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
+            fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+        }
+
+        /// Lowers this process's soft descriptor limit to at most `n`.
+        pub fn limit_descriptors(n: u64) {
+            let mut lim = Rlimit { cur: 0, max: 0 };
+            // SAFETY: `lim` is a valid, exclusively borrowed `struct rlimit`.
+            assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) }, 0);
+            lim.cur = lim.cur.min(n);
+            // SAFETY: as above; lowering the soft limit needs no privilege.
+            assert_eq!(unsafe { setrlimit(RLIMIT_NOFILE, &lim) }, 0);
+        }
+
+        /// CPU time every thread of this process has used so far.
+        pub fn process_cpu() -> Duration {
+            let mut ts = Timespec { sec: 0, nsec: 0 };
+            // SAFETY: `ts` is a valid, exclusively borrowed `struct timespec`.
+            assert_eq!(unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) }, 0);
+            Duration::new(ts.sec as u64, ts.nsec as u32)
+        }
+    }
+
+    /// When `accept` fails for want of a descriptor, the loop must not
+    /// busy-poll the listener, and the connection waiting in the backlog is
+    /// served once a descriptor frees. The descriptor limit is per process,
+    /// so the test re-executes this binary to run alone in a child process
+    /// that lowers its own limit.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn accept_out_of_descriptors_does_not_spin() {
+        const CHILD: &str = "MLP_SERVE_DESCRIPTOR_EXHAUSTION_CHILD";
+        const NAME: &str = "tests::accept_out_of_descriptors_does_not_spin";
+        if std::env::var_os(CHILD).is_none() {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+                .env(CHILD, "1")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let report = format!("{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
+            assert!(out.status.success(), "child run failed:\n{report}");
+            assert!(stdout.contains("1 passed"), "the child ran no test:\n{report}");
+            return;
+        }
+
+        os::limit_descriptors(64);
+        let server = smoke_server();
+        let (first, mut first_reader) = raw(&server);
+        (&first).write_all(b"PING\n").unwrap();
+        assert_eq!(read_line(&mut first_reader), "PONG\n");
+
+        // Take every free descriptor, then hand one to a new connection:
+        // it completes into the backlog, but the server cannot accept it.
+        let mut hold = Vec::new();
+        loop {
+            match std::fs::File::open("/dev/null") {
+                Ok(f) => hold.push(f),
+                Err(e) => {
+                    assert_eq!(e.raw_os_error(), Some(24), "EMFILE expected, got {e}");
+                    break;
+                }
+            }
+        }
+        hold.pop();
+        let queued = TcpStream::connect(server.local_addr()).unwrap();
+        queued.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        (&queued).write_all(b"PING\n").unwrap();
+
+        std::thread::sleep(Duration::from_millis(50));
+        let (cpu, wall) = (os::process_cpu(), Instant::now());
+        std::thread::sleep(Duration::from_millis(500));
+        let (cpu, wall) = (os::process_cpu() - cpu, wall.elapsed());
+        assert!(cpu * 5 < wall, "{cpu:?} of CPU over {wall:?} out of descriptors");
+        assert_eq!(server.stats().connections, 1, "nothing could be accepted");
+
+        // Closing the first connection frees the server's descriptor too.
+        drop((first, first_reader));
+        let mut reply = String::new();
+        BufReader::new(&queued).read_line(&mut reply).unwrap();
+        assert_eq!(reply, "PONG\n");
+        drop(hold);
+        stop_within(server, Duration::from_secs(5));
     }
 }
