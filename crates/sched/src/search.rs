@@ -61,9 +61,9 @@ fn plan_cost(plan: &RequestPlan) -> (SimTime, u128) {
 }
 
 /// The volatility-agnostic local-search scheduler: FullProfile's
-/// admission, budgets and grants ([`FullPolicy`]: the search refines
+/// admission, budgets and grants (`FullPolicy`: the search refines
 /// *placements*, so it reuses the strongest baseline's estimates), plus a
-/// seeded refinement of the first [`ROUND_BUDGET`] plans admitted in each
+/// seeded refinement of the first `ROUND_BUDGET` plans admitted in each
 /// round.
 pub struct SearchSched {
     queue: Vec<RequestInfo>,
