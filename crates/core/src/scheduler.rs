@@ -82,7 +82,6 @@ pub struct VMlpScheduler {
     /// instead of rescanning every active request (see
     /// [`DelaySlotIndex`]). Maintained only when `cfg.delay_slot` is on.
     delay_slots: DelaySlotIndex,
-    rr_cursor: usize,
 }
 
 impl VMlpScheduler {
@@ -98,7 +97,6 @@ impl VMlpScheduler {
             index: ReorderIndex::new(),
             active: FastHashMap::default(),
             delay_slots: DelaySlotIndex::default(),
-            rr_cursor: 0,
         }
     }
 
@@ -285,7 +283,8 @@ impl VMlpScheduler {
     ) -> Option<RequestPlan> {
         let policy =
             organizer_policy(self.cfg.dt_policy, ctx.catalog.request(req.rtype).volatility);
-        let plan = plan_request(&req, &policy, overflow, &mut self.rr_cursor, ctx);
+        // Ledger placement never reads the round-robin cursor.
+        let plan = plan_request(&req, &policy, overflow, &mut 0, ctx);
         if ctx.audit.is_enabled() {
             let d = match &plan {
                 Some(plan) => Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")

@@ -111,7 +111,6 @@ impl Scheduler for FairSched {
 #[derive(Debug, Default)]
 pub struct CurSched {
     queue: Vec<RequestInfo>,
-    rr_cursor: usize,
 }
 
 impl CurSched {
@@ -145,7 +144,7 @@ impl Scheduler for CurSched {
     }
 
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        drain_fcfs(&mut self.queue, &CurPolicy, &mut self.rr_cursor, ctx)
+        drain_fcfs(&mut self.queue, &CurPolicy, &mut 0, ctx)
     }
 
     fn waiting(&self) -> usize {
