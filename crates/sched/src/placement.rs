@@ -644,6 +644,45 @@ mod tests {
     }
 
     #[test]
+    fn pinned_plans_use_their_machines_and_roll_back_a_miss() {
+        let (mut cluster, cat, net, prof, met) = harness();
+        // Machine 3 is full for a minute, past the planning horizon.
+        cluster.machine_mut(MachineId(3)).ledger.reserve(
+            SimTime::ZERO,
+            SimTime::from_secs(60),
+            ResourceVector::new(6.0, 32_000.0, 1_000.0),
+        );
+        let before: Vec<ResourceVector> = cluster
+            .machines()
+            .iter()
+            .map(|m| m.ledger.available(SimTime::ZERO, SimTime::from_secs(30)))
+            .collect();
+        let mut ctx = ctx!(cluster, cat, net, prof, met);
+        let p = TestPolicy {
+            policy: MachinePolicy::LedgerEarliestFit,
+            budget_ms: 10,
+            grant: ResourceVector::new(1.0, 100.0, 10.0),
+        };
+        let r = req(&cat, "read-user-timeline"); // 3-node chain
+        let pins = [MachineId(2), MachineId(0), MachineId(1)];
+        let plan = plan_pinned(&r, &p, &pins, &mut ctx).unwrap();
+        for (np, &m) in plan.nodes.iter().zip(&pins) {
+            assert_eq!(np.machine, m);
+            assert!(np.reserved);
+        }
+        unreserve_plan(&plan, &mut ctx);
+
+        // The last node's machine has no window: the two nodes before it
+        // are rolled back.
+        let pins = [MachineId(0), MachineId(1), MachineId(3)];
+        assert!(plan_pinned(&r, &p, &pins, &mut ctx).is_none());
+        for (m, before) in ctx.cluster.machines().iter().zip(before) {
+            let after = m.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
+            assert_eq!(after, before, "machine {:?} not rolled back", m.id);
+        }
+    }
+
+    #[test]
     fn unreserve_plan_roundtrips() {
         let (mut cluster, cat, net, prof, met) = harness();
         let mut ctx = ctx!(cluster, cat, net, prof, met);

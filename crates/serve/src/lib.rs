@@ -1022,8 +1022,8 @@ mod tests {
     }
 
     /// `getrlimit`/`setrlimit` and the process CPU clock, for the
-    /// descriptor-exhaustion test (Linux numbering).
-    #[cfg(target_os = "linux")]
+    /// descriptor-exhaustion test (64-bit Linux numbering and layouts).
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     mod os {
         use std::ffi::{c_int, c_long};
         use std::time::Duration;
@@ -1073,7 +1073,7 @@ mod tests {
     /// served once a descriptor frees. The descriptor limit is per process,
     /// so the test re-executes this binary to run alone in a child process
     /// that lowers its own limit.
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     #[test]
     fn accept_out_of_descriptors_does_not_spin() {
         const CHILD: &str = "MLP_SERVE_DESCRIPTOR_EXHAUSTION_CHILD";
