@@ -209,7 +209,8 @@ impl SchedulerParams {
     pub fn check_keys(&self, known: &[&str]) -> Result<(), String> {
         for k in self.0.keys() {
             if !known.contains(&k.as_str()) {
-                return Err(format!("unknown param `{k}` (known params: {})", known.join(", ")));
+                let known = if known.is_empty() { "none".to_string() } else { known.join(", ") };
+                return Err(format!("unknown param `{k}` (known params: {known})"));
             }
         }
         Ok(())
