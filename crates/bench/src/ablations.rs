@@ -1,7 +1,6 @@
 //! Quality-impact ablation study of v-MLP's design choices (DESIGN.md §6):
 //! runs each ablated configuration on the L2 fluctuating workload and
-//! reports tails, violations, utilization, and healing activity. The
-//! `ablations` Criterion bench times the same [`VARIANTS`].
+//! reports tails, violations, utilization, and healing activity.
 
 use crate::evalrun::{run_cells, Cell};
 use crate::scale::Scale;

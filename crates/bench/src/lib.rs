@@ -3,8 +3,8 @@
 //! One module per table and figure of the paper's evaluation. Each module
 //! exposes a `report` function that regenerates the figure's rows/series
 //! as plain text; the `figs` binary runs any of them by name through the
-//! [`figs::FIGURES`] table. The Criterion benches under `benches/` measure
-//! the hot scheduling kernels and whole-simulation throughput.
+//! [`figs::FIGURES`] table. Performance is measured by the repository
+//! benchmark (`benchmark/`), not here.
 //!
 //! All experiments are seeded and deterministic. Absolute numbers differ
 //! from the paper (our substrate is a synthetic simulator, theirs was

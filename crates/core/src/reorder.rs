@@ -89,11 +89,6 @@ impl RatioTerms {
     }
 }
 
-/// Computes the reorder ratio `R ∈ (0, 1)` for a waiting request.
-pub fn reorder_ratio(req: &RequestInfo, now: SimTime, ctx: &SchedulerCtx<'_>) -> f64 {
-    RatioTerms::for_type(req.rtype, ctx).ratio(req, now)
-}
-
 /// The total order the reorder queue is popped in: descending ratio,
 /// ties broken by (arrival, id) ascending. `total_cmp` (not
 /// `partial_cmp().unwrap()`) so a pathological non-finite ratio — which
@@ -111,6 +106,12 @@ pub(crate) fn ratio_order(
     rb.total_cmp(&ra).then_with(|| a.arrival.cmp(&b.arrival)).then_with(|| a.id.cmp(&b.id))
 }
 
+/// Computes the reorder ratio `R ∈ (0, 1)` for a waiting request.
+#[cfg(test)]
+pub(crate) fn reorder_ratio(req: &RequestInfo, now: SimTime, ctx: &SchedulerCtx<'_>) -> f64 {
+    RatioTerms::for_type(req.rtype, ctx).ratio(req, now)
+}
+
 /// Sorts a waiting queue by descending `R` (highest priority first), with
 /// arrival order as a deterministic tie-break. The scheduler no longer
 /// sorts — it pops [`ReorderIndex`](crate::reorder_index::ReorderIndex) —
@@ -119,7 +120,12 @@ pub(crate) fn ratio_order(
 /// The catalog/profile-derived terms are looked up once per request *type*
 /// (the catalog has a handful of types; queues have hundreds of requests),
 /// so per-request work is a few flops plus the comparison.
-pub fn sort_by_reorder_ratio(queue: &mut [RequestInfo], now: SimTime, ctx: &SchedulerCtx<'_>) {
+#[cfg(test)]
+pub(crate) fn sort_by_reorder_ratio(
+    queue: &mut [RequestInfo],
+    now: SimTime,
+    ctx: &SchedulerCtx<'_>,
+) {
     let mut terms: Vec<(RequestTypeId, RatioTerms)> = Vec::new();
     let mut keyed: Vec<(f64, RequestInfo)> = queue
         .iter()

@@ -162,33 +162,6 @@ impl ServiceDag {
         self.topo_order().is_some()
     }
 
-    /// All root→leaf paths: the paper's "`m` microservice chain choices
-    /// `c_j = (s₁, s₂, …)`" extracted by topological traversal.
-    ///
-    /// Exponential in the worst case, but request DAGs are small (≤ ~15
-    /// vertices in both benchmarks).
-    pub fn chains(&self) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        for r in self.roots() {
-            self.chains_from(r, &mut stack, &mut out);
-        }
-        out
-    }
-
-    fn chains_from(&self, i: usize, stack: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        stack.push(i);
-        let kids = self.children(i);
-        if kids.is_empty() {
-            out.push(stack.clone());
-        } else {
-            for k in kids {
-                self.chains_from(k, stack, out);
-            }
-        }
-        stack.pop();
-    }
-
     /// Length of the longest path weighted by `node_cost(i)` — with
     /// per-node nominal execution times this is the request's ideal
     /// (zero-contention, zero-communication) latency.
@@ -276,18 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn chains_enumerates_all_paths() {
-        let d = diamond();
-        let mut chains = d.chains();
-        chains.sort();
-        assert_eq!(chains, vec![vec![0, 1, 3], vec![0, 2, 3]]);
-    }
-
-    #[test]
     fn chain_constructor_is_linear() {
         let d = ServiceDag::chain(&[(ServiceId(5), 1.0), (ServiceId(6), 2.0), (ServiceId(7), 1.0)]);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.chains(), vec![vec![0, 1, 2]]);
+        assert_eq!(d.edges(), &[(0, 1), (1, 2)]);
         assert_eq!(d.node(1).work_factor, 2.0);
     }
 
@@ -308,7 +273,7 @@ mod tests {
         let d = ServiceDag::new();
         assert!(d.is_empty());
         assert!(d.is_valid());
-        assert!(d.chains().is_empty());
+        assert!(d.edges().is_empty() && d.leaves().is_empty());
         assert_eq!(d.critical_path(|_| 1.0), 0.0);
     }
 
@@ -330,9 +295,7 @@ mod tests {
         d.add_edge(0, 2);
         d.add_edge(1, 2);
         assert_eq!(d.roots(), vec![0, 1]);
-        let mut chains = d.chains();
-        chains.sort();
-        assert_eq!(chains, vec![vec![0, 2], vec![1, 2]]);
+        assert_eq!(d.leaves(), vec![2]);
     }
 }
 
@@ -370,18 +333,6 @@ mod prop_tests {
             for (rank, &nd) in order.iter().enumerate() { pos[nd] = rank; }
             for &(a, b) in d.edges() {
                 prop_assert!(pos[a] < pos[b]);
-            }
-        }
-
-        #[test]
-        fn every_chain_is_a_real_path(d in arb_dag()) {
-            for chain in d.chains() {
-                prop_assert!(!chain.is_empty());
-                prop_assert!(d.roots().contains(&chain[0]));
-                prop_assert!(d.leaves().contains(chain.last().unwrap()));
-                for w in chain.windows(2) {
-                    prop_assert!(d.edges().contains(&(w[0], w[1])));
-                }
             }
         }
 
