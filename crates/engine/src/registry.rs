@@ -27,17 +27,13 @@ use std::sync::OnceLock;
 
 /// One typed scheduler parameter value.
 ///
-/// Spec strings parse tokens in this order: `on`/`true` and `off`/`false`
-/// become booleans, then integers, then floats, and anything else stays a
-/// string. Display is the exact inverse, so spec strings round-trip.
+/// Spec strings parse `on`/`true` and `off`/`false` as booleans, and
+/// anything else stays a string. Display is the exact inverse, so spec
+/// strings round-trip. No registered scheme takes a numeric param.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// A flag (`on`/`off` in spec strings).
     Bool(bool),
-    /// An integer count or id.
-    Int(i64),
-    /// A real-valued knob.
-    Float(f64),
     /// An enumerated choice (e.g. `dt_policy=always-p99`).
     Str(String),
 }
@@ -46,24 +42,15 @@ impl ParamValue {
     /// Parses one `k=v` value token from a spec string.
     pub fn parse_token(tok: &str) -> ParamValue {
         match tok {
-            "on" | "true" => return ParamValue::Bool(true),
-            "off" | "false" => return ParamValue::Bool(false),
-            _ => {}
+            "on" | "true" => ParamValue::Bool(true),
+            "off" | "false" => ParamValue::Bool(false),
+            _ => ParamValue::Str(tok.to_string()),
         }
-        if let Ok(i) = tok.parse::<i64>() {
-            return ParamValue::Int(i);
-        }
-        if let Ok(f) = tok.parse::<f64>() {
-            return ParamValue::Float(f);
-        }
-        ParamValue::Str(tok.to_string())
     }
 
     fn type_name(&self) -> &'static str {
         match self {
             ParamValue::Bool(_) => "bool",
-            ParamValue::Int(_) => "int",
-            ParamValue::Float(_) => "float",
             ParamValue::Str(_) => "string",
         }
     }
@@ -74,10 +61,6 @@ impl fmt::Display for ParamValue {
         match self {
             ParamValue::Bool(true) => f.write_str("on"),
             ParamValue::Bool(false) => f.write_str("off"),
-            ParamValue::Int(i) => write!(f, "{i}"),
-            // `{:?}` keeps a trailing `.0`, so floats stay floats on
-            // re-parse ("margin=1.0" round-trips as Float, not Int).
-            ParamValue::Float(x) => write!(f, "{x:?}"),
             ParamValue::Str(s) => f.write_str(s),
         }
     }
@@ -86,21 +69,6 @@ impl fmt::Display for ParamValue {
 impl From<bool> for ParamValue {
     fn from(b: bool) -> Self {
         ParamValue::Bool(b)
-    }
-}
-impl From<i64> for ParamValue {
-    fn from(i: i64) -> Self {
-        ParamValue::Int(i)
-    }
-}
-impl From<usize> for ParamValue {
-    fn from(n: usize) -> Self {
-        ParamValue::Int(n as i64)
-    }
-}
-impl From<f64> for ParamValue {
-    fn from(x: f64) -> Self {
-        ParamValue::Float(x)
     }
 }
 impl From<&str> for ParamValue {
@@ -118,8 +86,6 @@ impl Serialize for ParamValue {
     fn to_value(&self) -> Value {
         match self {
             ParamValue::Bool(b) => b.to_value(),
-            ParamValue::Int(i) => i.to_value(),
-            ParamValue::Float(x) => x.to_value(),
             ParamValue::Str(s) => s.to_value(),
         }
     }
@@ -129,18 +95,9 @@ impl Deserialize for ParamValue {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         match v {
             Value::Bool(b) => Ok(ParamValue::Bool(*b)),
-            Value::Num(_) => {
-                // Canonicalize numbers: exact integers become Int so JSON
-                // `3` and spec-string `3` compare equal.
-                if let Some(i) = v.as_i64() {
-                    Ok(ParamValue::Int(i))
-                } else {
-                    Ok(ParamValue::Float(v.as_f64().expect("numbers convert to f64")))
-                }
-            }
             Value::Str(s) => Ok(ParamValue::parse_token(s)),
             other => Err(serde::Error::custom(format!(
-                "ParamValue: expected bool, number, or string, got {}",
+                "ParamValue: expected bool or string, got {}",
                 other.kind()
             ))),
         }
@@ -418,13 +375,11 @@ pub struct BuildCtx {
 /// boxed scheduler out (errors are param-validation messages).
 pub type BuildFn = fn(&SchedulerParams, &BuildCtx) -> Result<Box<dyn Scheduler>, String>;
 
-/// One registered scheduler: name, docs, known params, and factories.
+/// One registered scheduler: name, known params, and factories.
 #[derive(Clone)]
 pub struct RegistryEntry {
     /// Canonical name (must already be in [`canonical_name`] form).
     pub name: &'static str,
-    /// One-line description for `--help` style listings.
-    pub summary: &'static str,
     /// Every param key the factory understands (unknown keys error).
     pub param_keys: &'static [&'static str],
     /// Builds the scheduler; errors are param-validation messages.
@@ -477,11 +432,6 @@ impl SchedulerRegistry {
         let mut names: Vec<_> = self.entries.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names
-    }
-
-    /// The registered entries, in registration order.
-    pub fn entries(&self) -> &[RegistryEntry] {
-        &self.entries
     }
 
     /// Looks up an entry by (canonicalized) name.
@@ -540,10 +490,9 @@ pub fn default_registry() -> &'static SchedulerRegistry {
 /// because `RegistryEntry.build` is a plain fn pointer and cannot close
 /// over the concrete scheduler type.
 macro_rules! baseline_entry {
-    ($name:literal, $summary:literal, $label:literal, $ty:ty) => {
+    ($name:literal, $label:literal, $ty:ty) => {
         RegistryEntry {
             name: $name,
-            summary: $summary,
             param_keys: &[],
             build: |params, _ctx| {
                 params.check_keys(&[])?;
@@ -645,33 +594,12 @@ fn vmlp_display(params: &SchedulerParams) -> Result<String, String> {
 
 fn builtin_entries() -> Vec<RegistryEntry> {
     vec![
-        baseline_entry!(
-            "fairsched",
-            "FCFS admission, equal resource slices, round-robin placement",
-            "FairSched",
-            FairSched
-        ),
-        baseline_entry!(
-            "cursched",
-            "FCFS admission, placement on the currently least-loaded machine",
-            "CurSched",
-            CurSched
-        ),
-        baseline_entry!(
-            "partprofile",
-            "deadline priority queue, execution-time profiles drive placement",
-            "PartProfile",
-            PartProfile
-        ),
-        baseline_entry!(
-            "fullprofile",
-            "deadline priority queue, full time+resource profile reservations",
-            "FullProfile",
-            FullProfile
-        ),
+        baseline_entry!("fairsched", "FairSched", FairSched),
+        baseline_entry!("cursched", "CurSched", CurSched),
+        baseline_entry!("partprofile", "PartProfile", PartProfile),
+        baseline_entry!("fullprofile", "FullProfile", FullProfile),
         RegistryEntry {
             name: "vmlp",
-            summary: "the paper's volatility-aware MLP scheduler (every ablation switchable)",
             param_keys: VMLP_PARAM_KEYS,
             build: |params, _ctx| {
                 Ok(Box::new(VMlpScheduler::with_config(vmlp_config_from_params(params)?)))
@@ -680,7 +608,6 @@ fn builtin_entries() -> Vec<RegistryEntry> {
         },
         RegistryEntry {
             name: "searchsched",
-            summary: "seeded local-search placement (greedy + variable-neighborhood refinement)",
             param_keys: &[],
             build: |params, ctx| {
                 params.check_keys(&[])?;
@@ -793,11 +720,7 @@ mod tests {
 
     #[test]
     fn params_serde_round_trip() {
-        let params = SchedulerParams::new()
-            .with("healing", false)
-            .with("iters", 4usize)
-            .with("margin", 1.5)
-            .with("dt_policy", "always-p99");
+        let params = SchedulerParams::new().with("healing", false).with("dt_policy", "always-p99");
         let js = serde_json::to_string(&params).unwrap();
         let back: SchedulerParams = serde_json::from_str(&js).unwrap();
         assert_eq!(back, params);
@@ -852,15 +775,14 @@ mod tests {
     #[test]
     fn duplicate_registration_is_rejected() {
         let mut reg = SchedulerRegistry::builtin();
-        let err = reg.register(baseline_entry!("vmlp", "dup", "dup", FairSched)).unwrap_err();
+        let err = reg.register(baseline_entry!("vmlp", "dup", FairSched)).unwrap_err();
         assert!(err.to_string().contains("already registered"));
     }
 
     #[test]
     fn custom_registration_is_buildable() {
         let mut reg = SchedulerRegistry::builtin();
-        reg.register(baseline_entry!("myfair", "out-of-tree example", "MyFair", FairSched))
-            .unwrap();
+        reg.register(baseline_entry!("myfair", "MyFair", FairSched)).unwrap();
         let sched = reg.build(&SchemeSpec::named("my-fair"), 7).unwrap();
         assert_eq!(sched.name(), "FairSched");
         assert_eq!(reg.display_name(&SchemeSpec::named("myfair")).unwrap(), "MyFair");
