@@ -116,3 +116,32 @@ fn profile_retention_default_is_byte_identical() {
     assert!(bounded.completed > 0);
     assert_eq!(bounded.invariant_violations, 0, "bounded history must stay invariant-clean");
 }
+
+#[test]
+fn streaming_results_are_pinned() {
+    // The result-level pin for streaming mode: the serialized summary of
+    // fixed-seed streaming runs, digested, so any change to how the
+    // collector folds counts or feeds its P² sketches moves a digest. The
+    // schedule pins in `tests/determinism.rs` run in exact mode only.
+    use std::hash::Hasher;
+    use v_mlp::sim::FastHasher;
+    const PINS: [(usize, f64, u64); 4] = [
+        (1, 40.0, 0xd267_c4f7_aef3_20ea),
+        (4, 40.0, 0xbc34_290b_8d38_3cf6),
+        (1, 400.0, 0x5793_6c2e_d89f_fd54),
+        (4, 400.0, 0x3d30_e986_a12b_6555),
+    ];
+    for (shards, rate, pinned) in PINS {
+        let cfg = ExperimentConfig::smoke("vmlp")
+            .with_seed(17)
+            .with_stream_stats(true)
+            .with_profile_retention(64)
+            .with_rate(rate)
+            .with_shards(shards);
+        let result = Experiment::from_config(cfg).run().expect("pinned config runs");
+        let mut h = FastHasher::default();
+        h.write(serde_json::to_string(&result).expect("result serializes").as_bytes());
+        let got = h.finish();
+        assert_eq!(got, pinned, "shards={shards} rate={rate}: digest {got:#018x}");
+    }
+}
