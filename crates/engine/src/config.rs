@@ -117,9 +117,11 @@ pub struct ExperimentConfig {
     /// [`OpenLoopSource`]: mlp_workload::OpenLoopSource
     #[serde(default)]
     pub max_requests: Option<u64>,
-    /// Folds trace records into streaming aggregates instead of retaining
-    /// them (constant memory; quantiles become P² estimates). Off by
-    /// default: figure runs keep exact records.
+    /// Drops trace records instead of retaining them: counts, rates and
+    /// breakdown means stay exact either way, but latency percentiles and
+    /// the mean come from P² sketches and a Welford mean rather than an
+    /// exact CDF (constant memory). Off by default: figure runs keep exact
+    /// records.
     #[serde(default)]
     pub stream_stats: bool,
     /// Cap on execution cases retained per service in the profile store

@@ -191,7 +191,7 @@ impl<'a> Experiment<'a> {
         let mut source = self.arrival_source(&catalog)?;
         let Kernel { profiles, mut rng, mut scheduler } = self.kernel(&catalog)?;
         let out = simulate(config, &catalog, profiles, &mut source, scheduler.as_mut(), &mut rng);
-        let result = summarize(config, &catalog, &out);
+        let result = summarize(config, &out);
         Ok((result, out))
     }
 

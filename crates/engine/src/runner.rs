@@ -2,8 +2,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::sim::SimOutput;
-use mlp_model::{RequestCatalog, VolatilityClass};
-use mlp_sim::SimTime;
+use mlp_model::VolatilityClass;
 use mlp_stats::TimeSeries;
 use mlp_trace::metrics::names;
 use serde::{Deserialize, Serialize};
@@ -119,48 +118,13 @@ fn class_idx(c: VolatilityClass) -> usize {
     }
 }
 
-pub(crate) fn summarize(
-    config: &ExperimentConfig,
-    catalog: &RequestCatalog,
-    out: &SimOutput,
-) -> ExperimentResult {
-    let horizon = SimTime::from_secs_f64(config.horizon_s);
+pub(crate) fn summarize(config: &ExperimentConfig, out: &SimOutput) -> ExperimentResult {
     let completed = out.collector.completed();
-    // The horizon-windowed counts, the latency distribution, and the
-    // violated-completion count come from running aggregates in streaming
-    // mode and from the exact record set otherwise.
-    let (completed_in_horizon, good_in_horizon, violated_completed, latency_ms, mean_latency_ms) =
-        match out.collector.streaming_stats() {
-            Some(stats) => (
-                stats.completed_in_horizon(),
-                stats.good_in_horizon(),
-                stats.violated(),
-                [
-                    out.collector.latency_percentile(50.0, None).unwrap_or(0.0),
-                    out.collector.latency_percentile(90.0, None).unwrap_or(0.0),
-                    out.collector.latency_percentile(99.0, None).unwrap_or(0.0),
-                ],
-                stats.mean_latency_ms(),
-            ),
-            None => {
-                let mut cdf = out.collector.latency_cdf(None);
-                (
-                    out.collector.completed_where(|r| r.end <= horizon),
-                    out.collector.completed_where(|r| r.end <= horizon && !r.violated()),
-                    out.collector.completed_where(|r| r.violated()),
-                    [
-                        cdf.percentile(50.0).unwrap_or(0.0),
-                        cdf.percentile(90.0).unwrap_or(0.0),
-                        cdf.percentile(99.0).unwrap_or(0.0),
-                    ],
-                    cdf.mean(),
-                )
-            }
-        };
+    let (latency_ms, mean_latency_ms) = out.collector.latency_summary();
 
     // Violations: completed-and-violated plus everything unfinished.
     let total = completed + out.unfinished;
-    let violated = violated_completed + out.unfinished;
+    let violated = out.collector.violated() + out.unfinished;
     let violation_rate = if total == 0 { 0.0 } else { violated as f64 / total as f64 };
 
     // Per-class violations: unfinished requests cannot be attributed to a
@@ -184,14 +148,13 @@ pub(crate) fn summarize(
         out.metrics.counter(names::QUEUE_SWITCHES),
     );
 
-    let _ = catalog;
     ExperimentResult {
         config: config.clone(),
         arrived: out.arrived,
         completed,
-        completed_in_horizon,
+        completed_in_horizon: out.collector.completed_in_horizon(),
         unfinished: out.unfinished,
-        good_in_horizon,
+        good_in_horizon: out.collector.good_in_horizon(),
         violation_rate,
         violation_by_class,
         latency_ms,
@@ -225,6 +188,7 @@ mod tests {
     use super::*;
     use crate::config::MixSpec;
     use crate::experiment::Experiment;
+    use mlp_model::RequestCatalog;
 
     #[test]
     fn smoke_experiment_produces_sane_metrics() {

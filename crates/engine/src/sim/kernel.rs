@@ -62,16 +62,16 @@ impl<'c, D: Driver> Sim<'c, D> {
                 self.try_invoke(now, request, node, gen, scheduler, rng);
             }
             Event::PlannedStart { request, node } => {
-                self.check_deviation(now, request, node, scheduler, rng);
+                self.check_deviation(now, request, node, scheduler);
             }
             Event::Complete { request, node, gen } => {
                 self.complete(now, request, node, gen, scheduler, rng);
             }
             Event::NodeFailed { request, node, gen } => {
-                self.node_failed(now, request, node, gen, scheduler, rng);
+                self.node_failed(now, request, node, gen, scheduler);
             }
             Event::MachineDown(id) => {
-                self.machine_down(now, id, scheduler, rng);
+                self.machine_down(now, id, scheduler);
             }
             Event::MachineUp(id) => {
                 self.cluster.machine_mut(id).recover();
@@ -234,7 +234,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             + scheduler.waiting()
             + self.shed_requests as usize;
         SimOutput {
-            collector: std::mem::take(&mut self.collector),
+            collector: std::mem::replace(&mut self.collector, TraceCollector::new(SimTime::ZERO)),
             utilization: std::mem::replace(&mut self.utilization, TimeSeries::new(SAMPLE_PERIOD_S)),
             metrics: self.metrics.clone(),
             unfinished,

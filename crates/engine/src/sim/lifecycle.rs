@@ -103,7 +103,6 @@ impl<'c, D: Driver> Sim<'c, D> {
         request: u64,
         node: usize,
         scheduler: &mut dyn Scheduler,
-        rng: &mut SimRng,
     ) {
         let Some(req) = self.table.get(request) else {
             return;
@@ -141,7 +140,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             scheduler.on_late_invocation(info, &mut ctx)
         };
         for a in actions {
-            self.apply_healing(now, a, scheduler, rng);
+            self.apply_healing(now, a, scheduler);
         }
         // Delay-slot "request" candidates: give the waiting queue a chance
         // to fill the stall.
@@ -153,9 +152,7 @@ impl<'c, D: Driver> Sim<'c, D> {
         now: SimTime,
         action: HealingAction,
         scheduler: &mut dyn Scheduler,
-        rng: &mut SimRng,
     ) {
-        let _ = rng;
         match action {
             HealingAction::PromoteNode { request, node, new_start } => {
                 let id = request.0;
@@ -328,7 +325,6 @@ impl<'c, D: Driver> Sim<'c, D> {
         node: usize,
         gen: u64,
         scheduler: &mut dyn Scheduler,
-        rng: &mut SimRng,
     ) {
         let Some(req) = self.table.get_mut(request) else {
             return;
@@ -370,7 +366,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             _ => false,
         });
         for a in actions {
-            self.apply_healing(now, a, scheduler, rng);
+            self.apply_healing(now, a, scheduler);
         }
         if handled {
             return;
@@ -439,7 +435,6 @@ impl<'c, D: Driver> Sim<'c, D> {
         now: SimTime,
         id: MachineId,
         scheduler: &mut dyn Scheduler,
-        rng: &mut SimRng,
     ) {
         self.metrics.inc(names::MACHINE_CRASHES);
         self.audit
@@ -487,7 +482,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             scheduler.on_machine_failure(id, &orphan_ids, &mut ctx)
         };
         for a in actions {
-            self.apply_healing(now, a, scheduler, rng);
+            self.apply_healing(now, a, scheduler);
         }
     }
 
@@ -556,7 +551,7 @@ impl<'c, D: Driver> Sim<'c, D> {
             scheduler.on_span_complete(&span, &mut ctx)
         };
         for a in heal {
-            self.apply_healing(now, a, scheduler, rng);
+            self.apply_healing(now, a, scheduler);
         }
 
         // Ready the children. The entry is still present even if a healing

@@ -197,8 +197,9 @@ impl NodeAttrib {
 
 /// Everything one simulation run produces.
 pub struct SimOutput {
-    /// Spans and request records (exact mode) or running aggregates
-    /// (streaming mode, see [`TraceCollector::streaming`]).
+    /// Exact counts of every span and request, plus the records (exact
+    /// mode) or P² latency sketches (streaming mode, see
+    /// [`TraceCollector::streaming`]).
     pub collector: TraceCollector,
     /// Cluster utilization `U` sampled at the configured period
     /// (only within the horizon).
@@ -244,10 +245,11 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     rng: &mut SimRng,
 ) -> SimOutput {
+    let horizon = SimTime::from_secs_f64(cfg.horizon_s);
     let collector = if cfg.stream_stats {
-        TraceCollector::streaming(SimTime::from_secs_f64(cfg.horizon_s))
+        TraceCollector::streaming(horizon)
     } else {
-        TraceCollector::new()
+        TraceCollector::new(horizon)
     };
     let hard_cap = SimTime::from_secs_f64(cfg.horizon_s * DRAIN_FACTOR);
     let driver = SimDriver::new(source, hard_cap);
@@ -615,7 +617,8 @@ mod tests {
         let Kernel { profiles, mut rng, mut scheduler } = exp.kernel(&catalog).unwrap();
         let hard_cap = SimTime::from_secs_f64(cfg.horizon_s * DRAIN_FACTOR);
         let driver = Counting { inner: SimDriver::new(&mut source, hard_cap), flagged: 0 };
-        let mut sim = build_sim(&cfg, &catalog, profiles, TraceCollector::new(), driver, hard_cap);
+        let collector = TraceCollector::new(SimTime::from_secs_f64(cfg.horizon_s));
+        let mut sim = build_sim(&cfg, &catalog, profiles, collector, driver, hard_cap);
         let out = sim.run(scheduler.as_mut(), &mut rng);
         assert!(out.collector.completed() > 100, "{} completed", out.collector.completed());
         assert_eq!(sim.driver.flagged, out.collector.completed());

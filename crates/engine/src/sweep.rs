@@ -45,7 +45,8 @@ impl SweepConfig {
     /// malformed JSON or specs → [`Error::InvalidConfig`].
     pub fn load(path: &Path) -> Result<Self, Error> {
         let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
-        Self::from_json(&json).map_err(|e| Error::InvalidConfig(format!("{}: {e}", path.display())))
+        serde_json::from_str(&json)
+            .map_err(|e| Error::InvalidConfig(format!("{}: sweep config: {e}", path.display())))
     }
 
     /// Validates every spec against the default registry (names resolve,

@@ -1,9 +1,10 @@
 //! Constant-memory online quantile estimation (the P² algorithm).
 //!
 //! [`Cdf`](crate::Cdf) stores every sample. For long-running summaries
-//! that need *one* specific quantile (e.g. the per-type p99 the streaming
-//! trace collector keeps), the P² algorithm of Jain & Chlamtac (1985) maintains a five-marker estimate
-//! in O(1) memory and O(1) per observation.
+//! that need *one* specific quantile (e.g. the per-class p99 the streaming
+//! trace collector keeps), the P² algorithm of Jain & Chlamtac (1985)
+//! maintains a five-marker estimate in O(1) memory and O(1) per
+//! observation.
 
 use serde::{Deserialize, Serialize};
 

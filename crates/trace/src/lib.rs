@@ -15,7 +15,7 @@ pub mod span;
 pub mod zipkin;
 
 pub use audit::{AuditLog, Decision, DecisionKind};
-pub use collector::{LatencyBreakdown, RequestRecord, StreamingStats, TraceCollector};
+pub use collector::{LatencyBreakdown, RequestRecord, TraceCollector};
 pub use metrics::MetricsRegistry;
 pub use profile::{ExecutionCase, ProfileStore};
 pub use span::{RequestId, Span};

@@ -112,7 +112,7 @@ mod tests {
     /// (chain 0→1→2).
     fn collector_with_chain(catalog: &RequestCatalog) -> TraceCollector {
         let rt = catalog.request_by_name("read-user-timeline").unwrap();
-        let mut c = TraceCollector::new();
+        let mut c = TraceCollector::new(SimTime::ZERO);
         let mut t = SimTime::from_millis(10);
         for (i, node) in rt.dag.nodes().iter().enumerate() {
             let end = t + SimDuration::from_millis(5);

@@ -152,6 +152,8 @@ fn empty_sweep_files_are_typed_config_errors() {
         std::fs::write(&path, contents).unwrap();
         let err = SweepConfig::load(&path).and_then(|s| s.validate().map(|()| s)).expect_err(name);
         assert_eq!(err.exit_code(), 2, "{name}: {err}");
+        let msg = err.to_string();
+        assert_eq!(msg.matches("invalid experiment config").count(), 1, "{name}: {msg}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

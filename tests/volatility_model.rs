@@ -112,15 +112,3 @@ fn full_run_exports_valid_zipkin_traces() {
     let json = zipkin::to_json(&spans).unwrap();
     assert!(json.len() > 1000);
 }
-
-#[test]
-fn per_type_stats_cover_all_five_types() {
-    let catalog = RequestCatalog::paper();
-    let cfg = ExperimentConfig::smoke("cursched").with_seed(22);
-    let (_, raw) =
-        Experiment::from_config(cfg).catalog(&catalog).run_full().expect("config is valid");
-    let stats = raw.collector.per_type_stats();
-    assert_eq!(stats.len(), 5, "balanced mix exercises every Table V type");
-    let total: usize = stats.iter().map(|s| s.1).sum();
-    assert_eq!(total, raw.collector.completed());
-}
